@@ -33,7 +33,6 @@ from .dtree import (
     compile,
     compile_joint,
     distribution,
-    partition_independent,
     prune,
     prune_all,
     reduce_to_boolean,

@@ -580,6 +580,62 @@ def make_msum(kind, terms):
     return MSum(kind, symbolic)
 
 
+def _value_range(expr):
+    """Bounds (lo, hi) on the value of an expression that hold under
+    every valuation in both semirings, or None when nothing is known."""
+    t = type(expr)
+    if t is Const or t is MConst:
+        return expr.value, expr.value
+    if t is MSum and expr.kind in (MonoidKind.MIN, MonoidKind.MAX):
+        consts = [m.value for m in expr.terms if type(m) is MConst]
+        if consts:
+            if expr.kind is MonoidKind.MIN:
+                return NEG_INF, min(consts)
+            return max(consts), INF
+    if t is Add and any(type(p) is Const and p.value != 0 for p in expr.parts):
+        # A semiring sum with a non-zero constant summand is at least 1.
+        return 1, INF
+    return None
+
+
+def compare_ranges(a, theta, b):
+    """Truth of ``[x theta y]`` for every x in the range a = (lo, hi)
+    and every y in the range b, or None when it depends on the values."""
+    (alo, ahi), (blo, bhi) = a, b
+    if theta in ("=", "!="):
+        if ahi < blo or alo > bhi:
+            return theta == "!="
+        if alo == ahi == blo == bhi:
+            return theta == "="
+        return None
+    # The pairs least and most favourable to x theta y.
+    if theta[0] == "<":
+        worst, best = (ahi, blo), (alo, bhi)
+    else:
+        worst, best = (alo, bhi), (ahi, blo)
+    if compare(*worst, theta):
+        return True
+    if not compare(*best, theta):
+        return False
+    return None
+
+
+def make_cmp(left, theta, right):
+    """Build a conditional, folding it to Const(1) or Const(0) when the
+    value ranges of its sides already decide it.
+
+    A variable-free sum such as ``1 + 1`` is not folded to a point: its
+    value depends on the semiring.
+    """
+    if isinstance(left, MExpr) is isinstance(right, MExpr):
+        a, b = _value_range(left), _value_range(right)
+        if a is not None and b is not None:
+            decided = compare_ranges(a, theta, b)
+            if decided is not None:
+                return Const(1 if decided else 0)
+    return Cmp(left, theta, right)
+
+
 # ---------------------------------------------------------------------------
 # Structure queries
 # ---------------------------------------------------------------------------
@@ -600,8 +656,8 @@ def substitute(expr, name, value):
 
     The result is simplified through the smart constructors, so dead
     branches (products annihilated by 0, scaled terms that can no longer
-    fire) disappear.  Subtrees not containing the variable are shared,
-    not copied.
+    fire, comparisons the remaining values already decide) disappear.
+    Subtrees not containing the variable are shared, not copied.
     """
     if name not in expr.vars():
         return expr
@@ -614,7 +670,7 @@ def substitute(expr, name, value):
     if isinstance(expr, Cmp):
         left = substitute(expr.left, name, value)
         right = substitute(expr.right, name, value)
-        return Cmp(left, expr.theta, right)
+        return make_cmp(left, expr.theta, right)
     if isinstance(expr, Scaled):
         return make_scaled(expr.kind, substitute(expr.weight, name, value), expr.value)
     if isinstance(expr, MSum):

@@ -19,6 +19,15 @@ common factors of all its summands.  This recognises read-once
 expressions, such as the annotations of hierarchical queries, without
 any mutex node; everything else falls back to mutex expansion, which is
 always applicable but can be exponential.
+
+A mutex branch substitutes one value for its variable, and substitution
+folds every comparison that the remaining values already decide
+(:func:`pvcdb.algebra.make_cmp`), so no branch splits on a variable
+that can no longer change its result.  For a grouped MIN or MAX over
+independent tuples this makes joint compilation polynomial: once one
+row is present, the group's presence conditional ``[phi_1 + ... != 0]``
+folds to 1 and splits off from the cell, so the case splits form one
+chain, linear in the group's rows.
 """
 
 from __future__ import annotations
@@ -430,20 +439,6 @@ def split_compare(expr):
     return expr.left, expr.right
 
 
-def partition_independent(expr, rule):
-    """Try one independence rule; returns a pair of variable-disjoint
-    sub-expressions whose recombination equals the input, or None."""
-    if rule == "sum":
-        return split_sum(expr)
-    if rule == "product":
-        return split_product(expr)
-    if rule == "scalar":
-        return split_scale(expr)
-    if rule == "compare":
-        return split_compare(expr)
-    raise ValueError("unknown rule %r" % rule)
-
-
 def choose_branch_variable(expr):
     """The variable with most occurrences in the expression as written;
     ties break towards the lexicographically smallest name."""
@@ -836,8 +831,8 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
     terms = alg.sum_parts(left)
     if kind in (MonoidKind.MIN, MonoidKind.MAX):
         keep = (_MIN_KEEP if kind is MonoidKind.MIN else _MAX_KEEP)[theta]
-        forced = _minmax_forced(kind, theta, terms, bound)
-        if forced is not None:
+        forced = alg.make_cmp(left, theta, right)
+        if type(forced) is Const:
             return forced
         kept = [t for t in terms if keep(t.value, bound)]
         if len(kept) == len(terms):
@@ -858,37 +853,6 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
             return Cmp(MConst(kind, 0), theta, right)
         return Cmp(alg.make_msum(kind, kept), theta, right)
     return cond
-
-
-def _minmax_forced(kind, theta, terms, bound):
-    consts = [t.value for t in terms if isinstance(t, MConst)]
-    if not consts:
-        return None
-    if kind is MonoidKind.MIN:
-        ceiling = min(consts)
-        if theta in ("<=", "<"):
-            return Const(1) if alg.compare(ceiling, bound, theta) else None
-        if theta == ">=" and ceiling < bound:
-            return Const(0)
-        if theta == ">" and ceiling <= bound:
-            return Const(0)
-        if theta == "=" and ceiling < bound:
-            return Const(0)
-        if theta == "!=" and ceiling < bound:
-            return Const(1)
-        return None
-    floor = max(consts)
-    if theta in (">=", ">"):
-        return Const(1) if alg.compare(floor, bound, theta) else None
-    if theta == "<=" and floor > bound:
-        return Const(0)
-    if theta == "<" and floor >= bound:
-        return Const(0)
-    if theta == "=" and floor > bound:
-        return Const(0)
-    if theta == "!=" and floor > bound:
-        return Const(1)
-    return None
 
 
 def _weight_bounds(expr, sk, var_dists):
@@ -938,33 +902,10 @@ def _sum_forced(theta, terms, bound, sk, var_dists):
             return None
         lo += b[0] * t.value
         hi += b[1] * t.value
-    if theta == "<=":
-        if hi <= bound:
-            return Const(1)
-        if lo > bound:
-            return Const(0)
-    elif theta == "<":
-        if hi < bound:
-            return Const(1)
-        if lo >= bound:
-            return Const(0)
-    elif theta == ">=":
-        if lo >= bound:
-            return Const(1)
-        if hi < bound:
-            return Const(0)
-    elif theta == ">":
-        if lo > bound:
-            return Const(1)
-        if hi <= bound:
-            return Const(0)
-    elif theta == "=":
-        if hi < bound or lo > bound:
-            return Const(0)
-    elif theta == "!=":
-        if hi < bound or lo > bound:
-            return Const(1)
-    return None
+    decided = alg.compare_ranges((lo, hi), theta, (bound, bound))
+    if decided is None:
+        return None
+    return Const(1 if decided else 0)
 
 
 def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):

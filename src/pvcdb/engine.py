@@ -175,18 +175,10 @@ def infer_schema(plan, db):
         return renamed, roles
     if isinstance(plan, Select):
         columns, roles = infer_schema(plan.child, db)
-        role_of = dict(zip(columns, roles))
-        for a, theta, b in plan.atoms:
+        for a, _, b in plan.atoms:
             for op in (a, b):
-                if op[0] == "attr" and op[1] not in role_of:
+                if op[0] == "attr" and op[1] not in columns:
                     raise SchemaMismatch("selection on unknown attribute %s" % op[1])
-            agg_involved = any(
-                op[0] == "attr" and role_of[op[1]] == AGG for op in (a, b)
-            )
-            if not agg_involved and theta not in ("=", "!="):
-                # Order predicates between constant columns are allowed;
-                # the language only requires equality there.
-                pass
         return columns, roles
     if isinstance(plan, Project):
         columns, roles = infer_schema(plan.child, db)

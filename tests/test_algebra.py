@@ -310,3 +310,97 @@ class TestSmartConstructors:
                 MonoidKind.MIN,
                 [Scaled(MonoidKind.MAX, Var("x"), 1)],
             )
+
+
+def _min_sum(k):
+    kind = MonoidKind.MIN
+    return alg.make_msum(
+        kind, [Scaled(kind, Var("x"), 2), Scaled(kind, Var("y"), 5), MConst(kind, k)]
+    )
+
+
+def _max_sum(k):
+    kind = MonoidKind.MAX
+    return alg.make_msum(
+        kind, [Scaled(kind, Var("x"), 8), Scaled(kind, Var("y"), 5), MConst(kind, k)]
+    )
+
+
+def _cmp_valuations(semirings):
+    """Every valuation of x and y, with x 3-valued under nat."""
+    for sk in semirings:
+        for x in (0, 1) if sk is B else (0, 1, 2):
+            for y in (0, 1):
+                yield sk, {"x": x, "y": y}
+
+
+def _cmp_cases():
+    """(left, right, semirings that hold the constants) triples."""
+    # Constant parts below, at and above the bound 5, on either side; a
+    # term of value 5 makes every comparison that the rule leaves open
+    # depend on the valuation.
+    for k in (3, 5, 7):
+        for side in (_min_sum(k), _max_sum(k)):
+            bound = MConst(side.kind, 5)
+            yield side, bound, (B, N)
+            yield bound, side, (B, N)
+    for c in (0, 1, 2):
+        semirings = (B, N) if c < 2 else (N,)
+        yield Add([Const(1), Var("x")]), Const(c), semirings
+        yield Const(c), Add([Var("x"), Const(1)]), semirings
+    for a in (0, 1):
+        for b in (0, 1):
+            yield Const(a), Const(b), (B, N)
+            yield MConst(MonoidKind.MIN, a * 5), MConst(MonoidKind.MAX, b * 5), (B, N)
+
+
+class TestMakeCmp:
+    @pytest.mark.parametrize("theta", alg.THETAS)
+    def test_folds_exactly_the_decided_comparisons(self, theta):
+        for left, right, semirings in _cmp_cases():
+            unfolded = Cmp(left, theta, right)
+            folded = alg.make_cmp(left, theta, right)
+            values = {unfolded.eval(nu, sk) for sk, nu in _cmp_valuations(semirings)}
+            if isinstance(folded, Const):
+                assert values == {folded.value}, unfolded
+            else:
+                assert folded == unfolded
+                assert len(values) == 2, unfolded
+
+    @pytest.mark.parametrize("theta", alg.THETAS)
+    def test_variable_free_sums_stay_unfolded(self, theta):
+        # 1 + 1 is 1 under bool and 2 under nat, so neither comparison
+        # may be decided without knowing the semiring.
+        two = Add([Const(1), Const(1)])
+        scaled = Scaled(MonoidKind.SUM, two, 2)
+        cases = ((two, Const(2), (N,)), (scaled, MConst(MonoidKind.SUM, 4), (B, N)))
+        for left, right, semirings in cases:
+            out = alg.make_cmp(left, theta, right)
+            assert out == Cmp(left, theta, right)
+            for sk in semirings:
+                assert out.eval({}, sk) == Cmp(left, theta, right).eval({}, sk)
+
+    @pytest.mark.parametrize("theta", alg.THETAS)
+    def test_compare_ranges_is_exact_on_integer_ranges(self, theta):
+        ranges = [(lo, hi) for lo in range(4) for hi in range(lo, 4)]
+        for a in ranges:
+            for b in ranges:
+                outcomes = {
+                    alg.compare(x, y, theta)
+                    for x in range(a[0], a[1] + 1)
+                    for y in range(b[0], b[1] + 1)
+                }
+                decided = alg.compare_ranges(a, theta, b)
+                assert (None if len(outcomes) == 2 else outcomes.pop()) == decided
+
+    def test_mixed_sorts_rejected(self):
+        with pytest.raises(CarrierMismatch):
+            alg.make_cmp(Const(1), "=", MConst(MonoidKind.MIN, 1))
+
+    def test_substitute_folds_presence_conditional(self):
+        presence = parse_expr("[x + y != 0]")
+        assert alg.substitute(presence, "x", 1) == Const(1)
+        assert alg.substitute(presence, "x", 0) == parse_expr("[y != 0]")
+        selection = parse_expr("[min{x(x)3 + y(x)9} <= 5]")
+        assert alg.substitute(selection, "x", 1) == Const(1)
+        assert alg.substitute(selection, "y", 1) == parse_expr("[min{x(x)3 + 9} <= 5]")

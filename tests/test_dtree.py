@@ -18,9 +18,12 @@ from pvcdb.dtree import (
     eval_dtree,
     mutex_count,
     node_count,
-    partition_independent,
     prune,
     reduce_to_boolean,
+    split_compare,
+    split_product,
+    split_scale,
+    split_sum,
 )
 from pvcdb.errors import BudgetExceeded, NoVariables, WrongMonoid
 from pvcdb.exprtext import parse_expr
@@ -51,7 +54,7 @@ FIG_DISTS = {"a": one_two(0.6), "b": one_two(0.3), "c": one_two(0.8)}
 class TestSplits:
     def test_sum_rule_splits_independent_summands(self):
         expr = parse_expr("sum{a*(b + 1)(x)10 + 1(x)20}")
-        pair = partition_independent(expr, "sum")
+        pair = split_sum(expr)
         assert pair is not None
         first, second = pair
         assert alg.variables(first) == {"a", "b"}
@@ -61,31 +64,31 @@ class TestSplits:
         expr = parse_expr(
             "max{x4*y41*(z1 + z5)(x)15 + x4*y43*z3(x)60 + x5*y51*(z1 + z5)(x)10}"
         )
-        for rule in ("sum", "product", "scalar", "compare"):
-            assert partition_independent(expr, rule) is None
+        for split in (split_sum, split_product, split_scale, split_compare):
+            assert split(expr) is None
 
     def test_single_variable(self):
-        assert partition_independent(Var("x"), "sum") is None
-        assert partition_independent(Var("x"), "product") is None
+        assert split_sum(Var("x")) is None
+        assert split_product(Var("x")) is None
 
     def test_product_rule_factors_common_variable(self):
         expr = parse_expr("x1*y11 + x1*y12")
-        psi, rest = partition_independent(expr, "product")
+        psi, rest = split_product(expr)
         assert alg.variables(psi) == {"x1"}
         assert alg.equivalent(rest, parse_expr("y11 + y12"))
 
     def test_scalar_rule(self):
         expr = parse_expr("sum{a*b(x)10 + a(x)20}")
-        psi, rest = partition_independent(expr, "scalar")
+        psi, rest = split_scale(expr)
         assert alg.variables(psi) == {"a"}
         assert alg.variables(rest) == {"b"}
 
     def test_compare_rule(self):
         expr = parse_expr("[x + y <= z]")
-        pair = partition_independent(expr, "compare")
+        pair = split_compare(expr)
         assert pair is not None
         expr = parse_expr("[x + y <= x]")
-        assert partition_independent(expr, "compare") is None
+        assert split_compare(expr) is None
 
 
 class TestChooseBranchVariable:

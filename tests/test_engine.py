@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from pvcdb import algebra as alg
-from pvcdb import cli
+from pvcdb import cli, dtree
 from pvcdb.algebra import Cmp, Const, SemiringKind, Var
 from pvcdb.engine import (
     Base,
@@ -11,7 +13,7 @@ from pvcdb.engine import (
 )
 from pvcdb.errors import IllegalAggregate, SchemaMismatch
 from pvcdb.exprtext import parse_expr
-from pvcdb.oracle import brute_distribution
+from pvcdb.oracle import brute_distribution, brute_query
 from pvcdb.prob import Distribution
 from pvcdb.pvc import AGG, CONST, PvcDatabase, PvcTable
 
@@ -286,3 +288,101 @@ class TestAnswerDistributions:
         assert rows == [2, 2, 2, 2]
         # expression material grows linearly with the input
         assert atoms == [2 * n for n in (4, 8, 16, 32)]
+
+
+def _grouped_db(seed, sk, rows, groups=3):
+    """R(g, v) over one independent variable per row; under nat every
+    other variable takes the values 0, 1 and 2."""
+    rng = random.Random(seed)
+    r = PvcTable("R", ("g", "v"), (CONST, CONST))
+    dists = {}
+    for i in range(rows):
+        name = "x%d" % i
+        r.add_row((rng.randrange(groups), rng.randint(0, 6)), Var(name))
+        if sk is N and i % 2:
+            w = [rng.uniform(0.1, 1.0) for _ in range(3)]
+            dists[name] = Distribution([(k, w[k] / sum(w)) for k in range(3)])
+        else:
+            dists[name] = coin(rng.uniform(0.2, 0.8))
+    return PvcDatabase([r], dists, sk)
+
+
+def _outcomes(dist, width):
+    """Outcome tuples with every absent outcome written as all zeros."""
+    out = {}
+    for value, p in dist:
+        if not isinstance(value, tuple):
+            value = (value,)
+        if value[0] == 0:
+            value = (0,) * width
+        out[value] = out.get(value, 0.0) + p
+    return out
+
+
+def _assert_close(got, want, context):
+    for v in set(got) | set(want):
+        assert abs(got.get(v, 0.0) - want.get(v, 0.0)) <= 1e-9, (context, v)
+
+
+class TestGroupedJointSweep:
+    """Joints and annotations of grouped aggregates over tuple-independent
+    data, against possible-worlds enumeration."""
+
+    @pytest.mark.parametrize(
+        "sk,aggs,rows",
+        [(B, ("min", "max"), 10), (N, ("min", "max", "count", "sum"), 7)],
+        ids=["bool", "nat"],
+    )
+    def test_joint_and_annotation_match_brute_force(self, sk, aggs, rows):
+        for seed in range(3):
+            db = _grouped_db(seed, sk, rows)
+            for agg in aggs:
+                base = "agg[g; m<-%s(v)](R)" % agg
+                texts = [base] + [
+                    "select[m%s%d](%s)" % (theta, 2 + seed, base) for theta in alg.THETAS
+                ]
+                for text in texts:
+                    plan = cli.parse_query(text)
+                    _, answers = answer_distributions(plan, db)
+                    brute = brute_query(plan, db)
+                    assert set(brute.keys()) <= {(row.values[0],) for row in answers}
+                    for row in answers:
+                        key = (row.values[0],)
+                        context = (seed, text, key)
+                        want = _outcomes(brute.dists.get(key, [((0, 0), 1.0)]), 2)
+                        _assert_close(_outcomes(row.joint, 2), want, context)
+                        marginal = {}
+                        for value, p in want.items():
+                            marginal[value[0]] = marginal.get(value[0], 0.0) + p
+                        _assert_close(dict(row.annotation.entries), marginal, context)
+
+    @pytest.mark.parametrize("agg", ["min", "max"])
+    def test_single_group_joint_of_64_rows_fits_the_budget(self, agg):
+        rng = random.Random(64)
+        n = 64
+        r = PvcTable("R", ("g", "v"), (CONST, CONST))
+        probs = [rng.uniform(0.05, 0.3) for _ in range(n)]
+        values = [rng.randint(0, 50) for _ in range(n)]
+        for i in range(n):
+            r.add_row((0, values[i]), Var("x%d" % i))
+        dists = {"x%d" % i: coin(probs[i]) for i in range(n)}
+        db = PvcDatabase([r], dists, B)
+        plan = cli.parse_query("agg[g; m<-%s(v)](R)" % agg)
+        _, answers = answer_distributions(plan, db, node_budget=10000)
+        # Closed form: the extreme value is v when no row beyond v and
+        # some row at v is present; an empty group is absent.
+        want = {}
+        none_before = 1.0
+        for v in sorted(set(values), reverse=agg == "max"):
+            none_at = 1.0
+            for i in range(n):
+                if values[i] == v:
+                    none_at *= 1 - probs[i]
+            want[(1, v)] = none_before * (1 - none_at)
+            none_before *= none_at
+        want[(0, 0)] = none_before
+        _assert_close(_outcomes(answers[0].joint, 2), want, agg)
+        table = evaluate(plan, db)
+        (cells, phi), = table.rows
+        jtree = dtree.compile_joint([phi, cells[1]], dists, B, node_budget=10000)
+        assert dtree.mutex_count(jtree) <= n
