@@ -1,7 +1,7 @@
 """Compilation of expressions into decomposition trees.
 
-A decomposition tree is a normal form in which every binary node
-combines two sub-expressions with *disjoint* variable sets (hence
+A decomposition tree is a normal form in which every independence node
+combines sub-expressions with pairwise *disjoint* variable sets (hence
 independent as random variables) and every mutex node splits on the
 possible values of one variable (hence mutually exclusive cases).  Once
 an expression is in this form, its exact probability distribution
@@ -20,6 +20,12 @@ expressions, such as the annotations of hierarchical queries, without
 any mutex node; everything else falls back to mutex expansion, which is
 always applicable but can be exponential.
 
+Sum and product nodes are n-ary: one split yields every connected
+component, so an aggregate over n independent tuples is one node with n
+children, compiled in linear time and folded in one loop with a per-pair
+kernel picked once per node (builtin ``min``/``max``, unchecked ``+``
+when the largest values cannot overflow 64 bits).
+
 A mutex branch substitutes one value for its variable, and substitution
 folds every comparison that the remaining values already decide
 (:func:`pvcdb.algebra.make_cmp`), so no branch splits on a variable
@@ -32,7 +38,9 @@ chain, linear in the group's rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from . import algebra as alg
 from .algebra import (
@@ -47,6 +55,7 @@ from .algebra import (
     Mul,
     Scaled,
     SemiringKind,
+    U64_MAX,
     Var,
 )
 from .errors import (
@@ -64,10 +73,12 @@ from .prob import Distribution, compare_convolve, convolve, mix
 
 
 class DNode:
-    __slots__ = ("_vars",)
+    # ``shared``: the compiler handed this node to more than one parent.
+    __slots__ = ("_vars", "shared")
 
     def __init__(self):
         self._vars = None
+        self.shared = False
 
     def children(self):
         return ()
@@ -127,35 +138,34 @@ class MonoidLeaf(DNode):
 
 
 class SumNode(DNode):
-    """Independent sum; semiring when kind is None, monoid otherwise."""
+    """Independent sum of pairwise variable-disjoint children; semiring
+    when kind is None, monoid otherwise."""
 
-    __slots__ = ("left", "right", "kind")
+    __slots__ = ("parts", "kind")
 
-    def __init__(self, left, right, kind=None):
+    def __init__(self, parts, kind=None):
         super().__init__()
-        self.left = left
-        self.right = right
+        self.parts = tuple(parts)
         self.kind = kind
 
     def children(self):
-        return (self.left, self.right)
+        return self.parts
 
     def label(self):
         return "(+)" if self.kind is None else "(+)%s" % self.kind.value
 
 
 class ProdNode(DNode):
-    """Independent semiring product."""
+    """Independent semiring product of pairwise variable-disjoint children."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("parts",)
 
-    def __init__(self, left, right):
+    def __init__(self, parts):
         super().__init__()
-        self.left = left
-        self.right = right
+        self.parts = tuple(parts)
 
     def children(self):
-        return (self.left, self.right)
+        return self.parts
 
     def label(self):
         return "(.)"
@@ -285,14 +295,14 @@ def mutex_count(d):
 # ---------------------------------------------------------------------------
 
 
-def _components(items):
-    """Group items by overlap of their variable sets.
+def connected_groups(keyed, pool_keyless=False):
+    """Group items that share a key, directly or through other items.
 
-    Items without variables are pooled into one group.  Returns groups
-    in first-occurrence order as lists of items.
+    ``keyed`` is a sequence of (item, keys) pairs.  Groups are lists of
+    items, in first-occurrence order.  Items without keys each form a
+    group of their own, or with ``pool_keyless`` one group, placed last.
     """
-    tagged = [(item, alg.variables(item)) for item in items]
-    parent = list(range(len(tagged)))
+    parent = list(range(len(keyed)))
 
     def find(i):
         while parent[i] != i:
@@ -300,37 +310,32 @@ def _components(items):
             i = parent[i]
         return i
 
-    by_var = {}
-    constant = []
-    for i, (_, vs) in enumerate(tagged):
-        if not vs:
-            constant.append(i)
-            continue
-        for v in vs:
-            if v in by_var:
-                ra, rb = find(by_var[v]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                by_var[v] = i
-    groups = {}
-    order = []
-    for i, (item, vs) in enumerate(tagged):
-        if not vs:
-            continue
-        root = find(i)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(item)
-    out = [groups[r] for r in order]
-    if constant:
-        out.append([tagged[i][0] for i in constant])
+    owner = {}
+    for i, (_, keys) in enumerate(keyed):
+        for k in keys:
+            ra, rb = find(owner.setdefault(k, i)), find(i)
+            if ra != rb:
+                parent[rb] = ra
+    groups, pooled = {}, []
+    for i, (item, keys) in enumerate(keyed):
+        if pool_keyless and not keys:
+            pooled.append(item)
+        else:
+            groups.setdefault(find(i), []).append(item)
+    out = list(groups.values())
+    if pooled:
+        out.append(pooled)
     return out
 
 
+def _components(items):
+    """Items grouped by overlap of their variable sets; variable-free
+    items pool into one group."""
+    return connected_groups([(item, alg.variables(item)) for item in items], pool_keyless=True)
+
+
 def split_sum(expr):
-    """Split a sum into two variable-disjoint halves, or None."""
+    """Split a sum into all its variable-disjoint components, or None."""
     parts = alg.sum_parts(expr)
     if len(parts) < 2:
         return None
@@ -338,9 +343,7 @@ def split_sum(expr):
     if len(groups) < 2:
         return None
     kind = expr.kind if isinstance(expr, MExpr) else None
-    first = alg.rebuild_sum(groups[0], kind)
-    rest = alg.rebuild_sum([p for g in groups[1:] for p in g], kind)
-    return first, rest
+    return [alg.rebuild_sum(g, kind) for g in groups]
 
 
 def _common_factors(factor_lists):
@@ -379,18 +382,18 @@ def _remove_factors(factors, removed):
 
 
 def split_product(expr):
-    """Split a semiring expression as an independent product, or None.
+    """Split a semiring expression as an independent product into a list
+    of factors, or None.
 
-    A product splits by connected components of its factors; a sum of
-    products splits by dividing out the factors common to all summands.
+    A product splits into all connected components of its factors; a
+    sum of products splits in two by dividing out the factors common to
+    all summands.
     """
     if isinstance(expr, Mul):
-        groups = _components(list(expr.parts))
+        groups = _components(expr.parts)
         if len(groups) < 2:
             return None
-        first = alg.make_product(groups[0])
-        rest = alg.make_product([p for g in groups[1:] for p in g])
-        return first, rest
+        return [alg.make_product(g) for g in groups]
     if isinstance(expr, Add):
         factor_lists = [alg.product_factors(p) for p in expr.parts]
         common = _common_factors(factor_lists)
@@ -402,7 +405,7 @@ def split_product(expr):
         )
         if alg.variables(psi) & alg.variables(rest):
             return None
-        return psi, rest
+        return [psi, rest]
     return None
 
 
@@ -479,6 +482,7 @@ class _Compiler:
         key = expr.key()
         hit = self.memo.get(key)
         if hit is not None:
+            hit.shared = True
             return hit
         self.charge()
         if isinstance(expr, Expr):
@@ -495,12 +499,12 @@ class _Compiler:
             return ConstLeaf(alg.eval_semiring(expr, {}, self.sk))
         if isinstance(expr, Var):
             return VarLeaf(expr.name, self.dist_of(expr.name))
-        pair = split_sum(expr)
-        if pair is not None:
-            return SumNode(self.compile(pair[0]), self.compile(pair[1]))
-        pair = split_product(expr)
-        if pair is not None:
-            return ProdNode(self.compile(pair[0]), self.compile(pair[1]))
+        parts = split_sum(expr)
+        if parts is not None:
+            return SumNode([self.compile(p) for p in parts])
+        parts = split_product(expr)
+        if parts is not None:
+            return ProdNode([self.compile(p) for p in parts])
         if isinstance(expr, Cmp):
             pair = split_compare(expr)
             if pair is not None:
@@ -510,9 +514,9 @@ class _Compiler:
     def _compile_semimodule(self, expr):
         if not alg.variables(expr):
             return MonoidLeaf(alg.eval_semimodule(expr, {}, self.sk))
-        pair = split_sum(expr)
-        if pair is not None:
-            return SumNode(self.compile(pair[0]), self.compile(pair[1]), expr.kind)
+        parts = split_sum(expr)
+        if parts is not None:
+            return SumNode([self.compile(p) for p in parts], expr.kind)
         pair = split_scale(expr)
         if pair is not None:
             return ScaleNode(self.compile(pair[0]), self.compile(pair[1]), expr.kind)
@@ -563,14 +567,9 @@ def _distribution(d, sk, memo):
     if isinstance(d, MonoidLeaf):
         return Distribution.point(d.value)
     if isinstance(d, SumNode):
-        op = sk.add if d.kind is None else d.kind.plus
-        return convolve(
-            distribution(d.left, sk, memo), distribution(d.right, sk, memo), op
-        )
+        return _fold(d, sk.add if d.kind is None else _KERNELS.get(d.kind), sk, memo)
     if isinstance(d, ProdNode):
-        return convolve(
-            distribution(d.left, sk, memo), distribution(d.right, sk, memo), sk.mul
-        )
+        return _fold(d, sk.mul, sk, memo)
     if isinstance(d, ScaleNode):
         return convolve(
             distribution(d.left, sk, memo),
@@ -591,6 +590,41 @@ def _distribution(d, sk, memo):
     if isinstance(d, JointProduct):
         return _joint_product_dist(d, sk, memo)
     raise TypeError("not a d-tree node: %r" % (d,))
+
+
+# Per-pair kernels of monoid sums; SUM and COUNT pick theirs in _fold.
+_KERNELS = {MonoidKind.MIN: min, MonoidKind.MAX: max, MonoidKind.PROD: MonoidKind.PROD.plus}
+
+
+def _fold(d, op, sk, memo):
+    """Convolve the children of an n-ary node from the last to the first,
+    in the order of a right-nested binary chain.
+
+    A tail of children that all have other parents may recur in another
+    node, as in sibling mutex branches, so its partial results are
+    memoised under the identities of their inputs, in either order since
+    the operations commute; other partial results are not kept.  With
+    ``op`` None (SUM, COUNT) a convolution adds unchecked when its two
+    largest values, hence all pairs, fit in 64 bits; otherwise the
+    checked ``plus`` raises on the first overflow.
+    """
+    acc = distribution(d.parts[-1], sk, memo)
+    shared = d.parts[-1].shared
+    for child in reversed(d.parts[:-1]):
+        p = distribution(child, sk, memo)
+        shared = shared and child.shared
+        key = (op, min(id(p), id(acc)), max(id(p), id(acc)))
+        hit = memo.get(key) if shared else None
+        if hit is None:
+            pair_op = op
+            if op is None:
+                top = p.entries[-1][0] + acc.entries[-1][0]
+                pair_op = operator.add if top <= U64_MAX else d.kind.plus
+            hit = convolve(p, acc, pair_op)
+            if shared:
+                memo[key] = hit
+        acc = hit
+    return acc
 
 
 def _joint_product_dist(d, sk, memo):
@@ -619,11 +653,9 @@ def eval_dtree(d, nu, sk=SemiringKind.BOOLEAN):
         return nu[d.name]
     if isinstance(d, (ConstLeaf, MonoidLeaf)):
         return d.value
-    if isinstance(d, SumNode):
-        a, b = eval_dtree(d.left, nu, sk), eval_dtree(d.right, nu, sk)
-        return sk.add(a, b) if d.kind is None else d.kind.plus(a, b)
-    if isinstance(d, ProdNode):
-        return sk.mul(eval_dtree(d.left, nu, sk), eval_dtree(d.right, nu, sk))
+    if isinstance(d, (SumNode, ProdNode)):
+        op = sk.mul if isinstance(d, ProdNode) else sk.add if d.kind is None else d.kind.plus
+        return functools.reduce(op, [eval_dtree(c, nu, sk) for c in d.parts])
     if isinstance(d, ScaleNode):
         return alg.scale(eval_dtree(d.left, nu, sk), eval_dtree(d.right, nu, sk), d.kind)
     if isinstance(d, CmpNode):
@@ -650,22 +682,21 @@ def eval_dtree(d, nu, sk=SemiringKind.BOOLEAN):
 def validate(d, var_dists=None):
     """Check the structural discipline of a tree.
 
-    Binary combination nodes must have variable-disjoint children, and
+    Combination nodes must have pairwise variable-disjoint children, and
     below a mutex node its variable must not occur; when distributions
     are supplied, mutex branches must enumerate exactly the non-zero
     support.  Raises ValueError on the first violation.
     """
     for node in _unique_nodes(d):
-        if isinstance(node, (SumNode, ProdNode, ScaleNode, CmpNode)):
-            shared = node.children()[0].vars() & node.children()[1].vars()
-            if shared:
-                raise ValueError(
-                    "children of %s share variables %s" % (node.label(), shared)
-                )
-        if isinstance(node, JointProduct):
-            for a, b in itertools.combinations(node.parts, 2):
-                if a.vars() & b.vars():
-                    raise ValueError("joint product parts share variables")
+        if isinstance(node, (SumNode, ProdNode, ScaleNode, CmpNode, JointProduct)):
+            seen = set()
+            for child in node.children():
+                shared = seen & child.vars()
+                if shared:
+                    raise ValueError(
+                        "children of %s share variables %s" % (node.label(), shared)
+                    )
+                seen |= child.vars()
         if isinstance(node, MutexNode):
             for value, p, child in node.branches:
                 if node.var in child.vars():
@@ -952,7 +983,7 @@ def _compile_joint(compiler, indexed):
     if len(indexed) == 1:
         idx, expr = indexed[0]
         return JointScalar(idx, compiler.compile(expr))
-    groups = _joint_groups(indexed)
+    groups = connected_groups([(item, alg.variables(item[1])) for item in indexed])
     if len(groups) > 1:
         return JointProduct([_compile_joint(compiler, g) for g in groups])
     counts = alg.occurrences(indexed[0][1])
@@ -965,34 +996,3 @@ def _compile_joint(compiler, indexed):
         substituted = [(i, alg.substitute(e, x, value)) for i, e in indexed]
         branches.append((value, p, _compile_joint(compiler, substituted)))
     return MutexNode(x, branches, indices=tuple(sorted(i for i, _ in indexed)))
-
-
-def _joint_groups(indexed):
-    """Connected components over the indexed expressions; variable-free
-    expressions each form their own group."""
-    parent = list(range(len(indexed)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var = {}
-    for pos, (_, expr) in enumerate(indexed):
-        for v in alg.variables(expr):
-            if v in by_var:
-                ra, rb = find(by_var[v]), find(pos)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                by_var[v] = pos
-    groups = {}
-    order = []
-    for pos, item in enumerate(indexed):
-        root = find(pos)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(item)
-    return [groups[r] for r in order]

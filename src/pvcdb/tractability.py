@@ -112,25 +112,16 @@ def flatten_block(plan, db, head=None):
 
 
 def _closures(block):
-    """Union-find over attributes by the block's equalities."""
-    parent = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in block.equalities:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    classes = {}
-    for columns in block.child_columns:
-        for attr in columns:
-            classes.setdefault(find(attr), set()).add(attr)
-    return {attr: classes[find(attr)] for cls in classes.values() for attr in cls}
+    """Equality closure of each child attribute under the block's
+    equalities."""
+    columns = {attr for cols in block.child_columns for attr in cols}
+    keyed = [((attr,), (attr,)) for attr in columns]
+    keyed += [(eq, eq) for eq in block.equalities]
+    closures = {}
+    for group in dtree.connected_groups(keyed):
+        cls = {attr for item in group for attr in item if attr in columns}
+        closures.update(dict.fromkeys(cls, cls))
+    return closures
 
 
 def _at(closure, block):

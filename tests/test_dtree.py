@@ -25,7 +25,7 @@ from pvcdb.dtree import (
     split_scale,
     split_sum,
 )
-from pvcdb.errors import BudgetExceeded, NoVariables, WrongMonoid
+from pvcdb.errors import ArithmeticOverflow, BudgetExceeded, NoVariables, WrongMonoid
 from pvcdb.exprtext import parse_expr
 from pvcdb.oracle import brute_distribution
 from pvcdb.prob import Distribution
@@ -54,9 +54,9 @@ FIG_DISTS = {"a": one_two(0.6), "b": one_two(0.3), "c": one_two(0.8)}
 class TestSplits:
     def test_sum_rule_splits_independent_summands(self):
         expr = parse_expr("sum{a*(b + 1)(x)10 + 1(x)20}")
-        pair = split_sum(expr)
-        assert pair is not None
-        first, second = pair
+        parts = split_sum(expr)
+        assert parts is not None
+        first, second = parts
         assert alg.variables(first) == {"a", "b"}
         assert alg.variables(second) == set()
 
@@ -194,6 +194,121 @@ class TestDistribution:
         d = Distribution([(0, 0.2), (3, 0.8)])
         tree = dtree.compile(Var("x"), {"x": d}, N)
         assert distribution(tree, N) == d
+
+
+def _independent_aggregate(kind, values, probs):
+    names = ["x%d" % i for i in range(len(values))]
+    expr = alg.make_msum(
+        kind, [alg.make_scaled(kind, Var(n), v) for n, v in zip(names, values)]
+    )
+    dists = {n: coin(p) for n, p in zip(names, probs)}
+    return distribution(dtree.compile(expr, dists, B), B)
+
+
+def _sum_reference(values, probs):
+    """Distribution of the sum of independent v_i * Bernoulli(p_i),
+    by dynamic programming over the partial sums."""
+    acc = {0: 1.0}
+    for v, p in zip(values, probs):
+        nxt = {}
+        for s, m in acc.items():
+            nxt[s] = nxt.get(s, 0.0) + m * (1 - p)
+            nxt[s + v] = nxt.get(s + v, 0.0) + m * p
+        acc = {s: m for s, m in nxt.items() if m > 1e-18}
+    return acc
+
+
+def _first_present_reference(values, probs, neutral):
+    """Distribution of the first present value in the given order: the
+    MIN over values sorted ascending, the MAX over values sorted
+    descending."""
+    acc, absent = {}, 1.0
+    for v, p in zip(values, probs):
+        acc[v] = acc.get(v, 0.0) + absent * p
+        absent *= 1 - p
+    acc[neutral] = absent
+    return acc
+
+
+def _assert_matches(got, expected):
+    got = dict(got.entries)
+    assert sum(got.values()) == pytest.approx(1.0, abs=1e-9)
+    for value in set(got) | set(expected):
+        assert got.get(value, 0.0) == pytest.approx(expected.get(value, 0.0), abs=1e-9)
+
+
+class TestManyIndependentTerms:
+    """Aggregates over thousands of independent terms compile into one
+    n-ary sum node; the recursion depth does not grow with the terms."""
+
+    N_TERMS = 2000
+
+    def _probs(self, rng):
+        return [rng.uniform(0.2, 0.8) for _ in range(self.N_TERMS)]
+
+    def test_count(self):
+        probs = self._probs(random.Random(1))
+        ones = [1] * self.N_TERMS
+        got = _independent_aggregate(MonoidKind.COUNT, ones, probs)
+        _assert_matches(got, _sum_reference(ones, probs))
+
+    def test_sum(self):
+        rng = random.Random(2)
+        probs = self._probs(rng)
+        values = [rng.randint(1, 3) for _ in range(self.N_TERMS)]
+        got = _independent_aggregate(MonoidKind.SUM, values, probs)
+        _assert_matches(got, _sum_reference(values, probs))
+
+    def test_min_and_max(self):
+        rng = random.Random(3)
+        probs = self._probs(rng)
+        values = rng.sample(range(1, 10**6), self.N_TERMS)
+        for kind, neutral, descending in (
+            (MonoidKind.MIN, INF, False),
+            (MonoidKind.MAX, alg.NEG_INF, True),
+        ):
+            got = _independent_aggregate(kind, values, probs)
+            order = sorted(zip(values, probs), reverse=descending)
+            expected = _first_present_reference(
+                [v for v, _ in order], [p for _, p in order], neutral
+            )
+            _assert_matches(got, expected)
+
+    def test_one_sum_node_over_all_components(self):
+        expr = alg.make_msum(
+            MonoidKind.SUM,
+            [alg.make_scaled(MonoidKind.SUM, Var("x%d" % i), i + 1) for i in range(50)],
+        )
+        dists = {v: coin() for v in alg.variables(expr)}
+        tree = dtree.compile(expr, dists, B)
+        assert isinstance(tree, SumNode) and len(tree.parts) == 50
+        dtree.validate(tree, dists)
+
+
+class TestOverflow:
+    def _two_terms(self, kind, a, b):
+        expr = alg.make_msum(
+            kind, [alg.make_scaled(kind, Var("x"), a), alg.make_scaled(kind, Var("y"), b)]
+        )
+        tree = dtree.compile(expr, {"x": coin(), "y": coin()}, B)
+        return distribution(tree, B)
+
+    def test_sum_past_u64_raises(self):
+        with pytest.raises(ArithmeticOverflow):
+            self._two_terms(MonoidKind.SUM, 2**63, 2**63)
+
+    def test_sum_at_u64_max_is_exact(self):
+        top = 2**63
+        out = self._two_terms(MonoidKind.SUM, top, top - 1)
+        assert out.support == (0, top - 1, top, alg.U64_MAX)
+
+    def test_prod_past_u64_raises(self):
+        with pytest.raises(ArithmeticOverflow):
+            self._two_terms(MonoidKind.PROD, 2**32, 2**32)
+
+    def test_prod_at_u64_max_is_exact(self):
+        out = self._two_terms(MonoidKind.PROD, 2**32 + 1, 2**32 - 1)
+        assert out.support == (1, 2**32 - 1, 2**32 + 1, alg.U64_MAX)
 
 
 def rand_semimodule(rng, names, kind, terms=3, clause_vars=2):
@@ -485,9 +600,15 @@ class TestCompileJoint:
 class TestValidator:
     def test_rejects_shared_variables_in_binary_node(self):
         x = VarLeaf("x", coin())
-        bad = SumNode(x, VarLeaf("x", coin()))
+        bad = SumNode([x, VarLeaf("x", coin())])
         with pytest.raises(ValueError, match="share"):
             dtree.validate(bad)
+
+    def test_rejects_shared_variables_between_first_and_third_child(self):
+        children = [VarLeaf("x", coin()), VarLeaf("y", coin()), VarLeaf("x", coin())]
+        with pytest.raises(ValueError, match="share"):
+            dtree.validate(SumNode(children))
+        dtree.validate(SumNode(children[:2]))
 
     def test_rejects_variable_below_its_mutex(self):
         bad = MutexNode("x", [(0, 0.5, VarLeaf("x", coin())), (1, 0.5, ConstLeaf(1))])

@@ -198,9 +198,15 @@ class TestHierarchicalScaling:
         for n in sizes:
             db = self._db(n)
             assert classify(plan, db) == Q_HIE
-            start = time.perf_counter()
-            _, answers = answer_distributions(plan, db, want_joint=False)
-            times.append(time.perf_counter() - start)
+            # Best of three: one slow spell of the machine must not pass
+            # for growth.
+            best = None
+            for _ in range(3):
+                start = time.perf_counter()
+                _, answers = answer_distributions(plan, db, want_joint=False)
+                elapsed = time.perf_counter() - start
+                best = elapsed if best is None else min(best, elapsed)
+            times.append(best)
             for row in answers:
                 tree = compile_tree(row.values[1], db.var_dists, B)
                 assert mutex_count(tree) == 0
