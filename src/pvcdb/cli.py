@@ -62,7 +62,7 @@ from .prob import Distribution, format_distribution
 # ---------------------------------------------------------------------------
 
 _QTOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)"
+    r"\s*(?:(?P<num>-?\d+)"
     r"|(?P<str>'[^']*')"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op><-|<=|>=|!=|=|<|>|\(|\)|\[|\]|,|;|\*))"
@@ -164,11 +164,16 @@ class _QueryParser:
         return child
 
     def parse_attr_list(self):
-        attrs = []
-        while self.peek()[0] == "ident":
-            attrs.append(self.next()[1])
-            if self.at(","):
-                self.next()
+        """Comma-separated attribute names, possibly none."""
+        if self.peek()[0] != "ident":
+            return []
+        attrs = [self.next()[1]]
+        while self.at(","):
+            self.next()
+            kind, name = self.next()
+            if kind != "ident":
+                raise ParseError("expected an attribute name, found %r" % (name,))
+            attrs.append(name)
         return attrs
 
     def parse_rename(self):

@@ -13,6 +13,10 @@ in every world.
 Selections over aggregation attributes do not filter rows; they
 multiply the row annotation with the comparison, keeping the result a
 single polynomial-size pvc-table for any query and database.
+
+A selection over a product is evaluated as a hash join on its leading
+equality atoms between a column of each side; it yields the rows, row
+order, annotations and errors of the nested loop over all pairs.
 """
 
 from __future__ import annotations
@@ -120,10 +124,7 @@ def describe(plan):
         inner = ",".join("%s<-%s" % (n, o) for n, o in plan.mapping)
         return "rename[%s](%s)" % (inner, describe(plan.child))
     if isinstance(plan, Select):
-        inner = ",".join(
-            "%s%s%s" % (_describe_operand(a), theta, _describe_operand(b))
-            for a, theta, b in plan.atoms
-        )
+        inner = ",".join(_describe_atom(*atom) for atom in plan.atoms)
         return "select[%s](%s)" % (inner, describe(plan.child))
     if isinstance(plan, Project):
         return "project[%s](%s)" % (",".join(plan.attrs), describe(plan.child))
@@ -139,6 +140,12 @@ def describe(plan):
             describe(plan.child),
         )
     raise TypeError("not a query plan: %r" % (plan,))
+
+
+def _describe_atom(a, theta, b):
+    # The space keeps "a < -3" from reading as the rename arrow "a<-3".
+    right = _describe_operand(b)
+    return "%s%s%s%s" % (_describe_operand(a), theta, " " * right.startswith("-"), right)
 
 
 def _describe_operand(op):
@@ -283,13 +290,7 @@ def _evaluate(plan, db):
     if isinstance(plan, Project):
         return _eval_project(plan, db)
     if isinstance(plan, Product):
-        left = _evaluate(plan.left, db)
-        right = _evaluate(plan.right, db)
-        out = PvcTable("product", left.columns + right.columns, left.roles + right.roles)
-        for lv, lphi in left.rows:
-            for rv, rphi in right.rows:
-                out.rows.append((lv + rv, alg.make_product([lphi, rphi])))
-        return out
+        return _eval_product(plan, db, ())
     if isinstance(plan, Union):
         left = _evaluate(plan.left, db)
         right = _evaluate(plan.right, db)
@@ -314,32 +315,74 @@ def _merge_duplicates(rows):
 
 
 def _eval_select(plan, db):
+    if isinstance(plan.child, Product):
+        return _eval_product(plan.child, db, plan.atoms)
     child = _evaluate(plan.child, db)
-    role_of = dict(zip(child.columns, child.roles))
     index_of = {c: i for i, c in enumerate(child.columns)}
     out = PvcTable("select", child.columns, child.roles)
     for values, phi in child.rows:
-        keep = True
-        factors = [phi]
-        for a, theta, b in plan.atoms:
-            left = _operand_value(a, values, index_of)
-            right = _operand_value(b, values, index_of)
-            symbolic = isinstance(left, MExpr) or isinstance(right, MExpr)
-            if symbolic:
-                factors.append(_symbolic_compare(left, theta, right))
-            else:
-                if theta in ("<=", ">=", "<", ">") and (
-                    isinstance(left, str) or isinstance(right, str)
-                ):
-                    raise UnorderedCarrier(
-                        "order comparison on string attribute"
-                    )
-                if not alg.compare(left, right, theta):
-                    keep = False
-                    break
-        if keep:
-            out.rows.append((values, alg.make_product(factors)))
+        factors = _check_atoms(plan.atoms, values, index_of)
+        if factors is not None:
+            out.rows.append((values, alg.make_product([phi] + factors)))
     return out
+
+
+def _eval_product(plan, db, atoms):
+    """``select[atoms]`` over the product ``plan``, as a hash join.
+
+    The leading ``attr = attr`` atoms between the two sides are the keys;
+    the other atoms are checked on each matching pair, in order.  Keys end
+    at the first atom that could raise or build a factor, so the rows,
+    their order, annotations and errors are those of the nested loop.
+    """
+    left = _evaluate(plan.left, db)
+    right = _evaluate(plan.right, db)
+    columns = left.columns + right.columns
+    roles = left.roles + right.roles
+    index_of = {c: i for i, c in enumerate(columns)}
+    agg_operands = {("attr", c) for c, role in zip(columns, roles) if role == AGG}
+    n = len(left.columns)
+    lkeys, rkeys, rest = [], [], []
+    for pos, (a, theta, b) in enumerate(atoms):
+        if theta != "=" or a in agg_operands or b in agg_operands:
+            rest.extend(atoms[pos:])
+            break
+        if a[0] == b[0] == "attr" and (index_of[a[1]] < n) != (index_of[b[1]] < n):
+            i, j = sorted((index_of[a[1]], index_of[b[1]]))
+            lkeys.append(i)
+            rkeys.append(j - n)
+        else:
+            rest.append((a, theta, b))
+    buckets = {}
+    for rv, rphi in right.rows:
+        buckets.setdefault(tuple(rv[i] for i in rkeys), []).append((rv, rphi))
+    out = PvcTable("select" if atoms else "product", columns, roles)
+    for lv, lphi in left.rows:
+        for rv, rphi in buckets.get(tuple(lv[i] for i in lkeys), ()):
+            values = lv + rv
+            factors = _check_atoms(rest, values, index_of)
+            if factors is not None:
+                out.rows.append((values, alg.make_product([lphi, rphi] + factors)))
+    return out
+
+
+def _check_atoms(atoms, values, index_of):
+    """The symbolic factors a row takes from ``atoms``, or None when a
+    comparison of plain values drops it."""
+    factors = []
+    for a, theta, b in atoms:
+        left = _operand_value(a, values, index_of)
+        right = _operand_value(b, values, index_of)
+        if isinstance(left, MExpr) or isinstance(right, MExpr):
+            factors.append(_symbolic_compare(left, theta, right))
+            continue
+        if theta in ("<=", ">=", "<", ">") and (
+            isinstance(left, str) or isinstance(right, str)
+        ):
+            raise UnorderedCarrier("order comparison on string attribute")
+        if not alg.compare(left, right, theta):
+            return None
+    return factors
 
 
 def _operand_value(op, values, index_of):

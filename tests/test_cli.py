@@ -1,14 +1,25 @@
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pvcdb
 from pvcdb import algebra as alg
 from pvcdb import cli
 from pvcdb.algebra import MonoidKind
-from pvcdb.engine import Aggregate, Project, Select
-from pvcdb.errors import DuplicateVariable, InvalidParams, MissingDistribution
+from pvcdb.engine import Aggregate, Project, Select, answer_distributions
+from pvcdb.errors import (
+    CarrierMismatch,
+    DuplicateVariable,
+    InvalidParams,
+    MissingDistribution,
+    ParseError,
+)
 from pvcdb.exprtext import format_expr, parse_expr
+from pvcdb.oracle import brute_query
 
 SHOPS = pathlib.Path(__file__).parent / "data" / "shops"
 
@@ -38,6 +49,34 @@ class TestQueryDsl:
         plan = cli.parse_query("project[](agg[; t<-count(*)](R))")
         assert plan.attrs == ()
         assert plan.child.group_attrs == ()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "project[a b](R)",
+            "project[a,](R)",
+            "project[a,,b](R)",
+            "project[,a](R)",
+            "agg[a b; m<-min(c)](R)",
+            "agg[a,; m<-min(c)](R)",
+        ],
+    )
+    def test_malformed_attr_lists_rejected(self, text):
+        with pytest.raises(ParseError):
+            cli.parse_query(text)
+
+    def test_negative_constants(self):
+        plan = cli.parse_query("select[a=-3,a < -3,-1<=b](R)")
+        assert plan.atoms == (
+            (("attr", "a"), "=", ("const", -3)),
+            (("attr", "a"), "<", ("const", -3)),
+            (("const", -1), "<=", ("attr", "b")),
+        )
+        assert cli.parse_query(cli.describe(plan)) == plan
+
+    def test_less_than_minus_is_the_rename_arrow(self):
+        with pytest.raises(ParseError):
+            cli.parse_query("select[a<-3](R)")
 
 
 class TestTableIo:
@@ -346,3 +385,52 @@ class TestSubcommands:
         assert code == 1
         code, _ = run_cli("prob", "--expr", expr, "--probs", str(probs))
         assert code == 0
+
+    def test_python_dash_m(self):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pvcdb.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvcdb", "--help"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: pvcdb")
+
+
+class TestNegativeConstants:
+    @pytest.fixture
+    def db(self, tmp_path):
+        table = tmp_path / "R.tsv"
+        table.write_text(
+            "g\tv\tphi\n0\t-3\tx0\n0\t2\tx1\n1\t-1\tx2\n1\t-3\tx3\n1\t0\tx4\n"
+        )
+        probs = tmp_path / "p.tsv"
+        probs.write_text(
+            "".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(5))
+        )
+        return cli.load_database([table], probs, "bool")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "select[v=-3](R)",
+            "select[v < -1](R)",
+            "select[-3>=v](R)",
+            "project[g](select[v!=-3](R))",
+        ],
+    )
+    def test_selection_matches_brute_force(self, db, text):
+        plan = cli.parse_query(text)
+        _, answers = answer_distributions(plan, db)
+        brute = brute_query(plan, db)
+        assert {row.values for row in answers} == set(brute.dists)
+        for row in answers:
+            want = {value: p for (value,), p in brute.dists[row.values]}
+            assert dict(row.annotation.entries) == pytest.approx(want, abs=1e-9)
+
+    def test_negative_bound_on_an_aggregate_is_rejected(self, db):
+        plan = cli.parse_query("select[m<=-1](agg[g; m<-min(v)](R))")
+        with pytest.raises(CarrierMismatch):
+            answer_distributions(plan, db)

@@ -8,10 +8,11 @@ from pvcdb.algebra import Cmp, Const, SemiringKind, Var
 from pvcdb.engine import (
     Base,
     answer_distributions,
+    describe,
     evaluate,
     validate_query,
 )
-from pvcdb.errors import IllegalAggregate, SchemaMismatch
+from pvcdb.errors import IllegalAggregate, SchemaMismatch, UnorderedCarrier
 from pvcdb.exprtext import parse_expr
 from pvcdb.oracle import brute_distribution, brute_query
 from pvcdb.prob import Distribution
@@ -386,3 +387,142 @@ class TestGroupedJointSweep:
         (cells, phi), = table.rows
         jtree = dtree.compile_joint([phi, cells[1]], dists, B, node_budget=10000)
         assert dtree.mutex_count(jtree) <= n
+
+
+def _join_db(seed, sk=B, rows=6):
+    """R(a, b) and T(c, d) over one coin per row, with small values so
+    that many pairs match."""
+    rng = random.Random(seed)
+    tables, dists = [], {}
+    for name, columns in (("R", ("a", "b")), ("T", ("c", "d"))):
+        t = PvcTable(name, columns, (CONST, CONST))
+        for i in range(rows):
+            var = "%s%d" % (name.lower(), i)
+            t.add_row((rng.randint(0, 2), rng.randint(0, 2)), Var(var))
+            dists[var] = coin(rng.uniform(0.2, 0.8))
+        tables.append(t)
+    return PvcDatabase(tables, dists, sk)
+
+
+def _nested_loop_join(db, atoms):
+    """select[atoms](product(R, T)) pair by pair, for atoms of
+    attr THETA attr."""
+    r, t = db.tables["R"], db.tables["T"]
+    columns = r.columns + t.columns
+    out = []
+    for lv, lphi in r.rows:
+        for rv, rphi in t.rows:
+            row = dict(zip(columns, lv + rv))
+            if all(alg.compare(row[x], row[y], theta) for x, theta, y in atoms):
+                out.append((lv + rv, alg.make_product([lphi, rphi]).key()))
+    return out
+
+
+def _assert_matches_brute_force(plan, db):
+    """Each answer's annotation, and joint when it has aggregate cells,
+    against possible-worlds enumeration."""
+    table, answers = answer_distributions(plan, db)
+    brute = brute_query(plan, db)
+    key_idx = [i for i, role in enumerate(table.roles) if role != AGG]
+    width = 1 + len(table.roles) - len(key_idx)
+    by_key = {tuple(row.values[i] for i in key_idx): row for row in answers}
+    assert set(brute.dists) <= set(by_key)
+    for key, row in by_key.items():
+        context = (describe(plan), key)
+        want = _outcomes(brute.dists.get(key, [((0,) * width, 1.0)]), width)
+        if row.joint is not None:
+            _assert_close(_outcomes(row.joint, width), want, context)
+        marginal = {}
+        for value, p in want.items():
+            marginal[value[0]] = marginal.get(value[0], 0.0) + p
+        _assert_close(dict(row.annotation.entries), marginal, context)
+
+
+class TestHashJoin:
+    """Selections over products are evaluated as hash joins on their
+    leading equality atoms; rows, order, annotations and errors must be
+    those of the nested loop over all pairs."""
+
+    @pytest.mark.parametrize(
+        "text,atoms",
+        [
+            ("select[b=c](product(R,T))", [("b", "=", "c")]),
+            ("select[a=c,b=d](product(R,T))", [("a", "=", "c"), ("b", "=", "d")]),
+            ("select[d=a,b<=c](product(R,T))", [("d", "=", "a"), ("b", "<=", "c")]),
+            ("select[a=b,c=b](product(R,T))", [("a", "=", "b"), ("c", "=", "b")]),
+            ("product(R,T)", []),
+        ],
+    )
+    def test_rows_in_nested_loop_order(self, text, atoms):
+        for seed in range(5):
+            db = _join_db(seed)
+            out = evaluate(cli.parse_query(text), db)
+            got = [(values, phi.key()) for values, phi in out.rows]
+            assert got == _nested_loop_join(db, atoms), (seed, text)
+
+    def test_multi_key_join_matches_brute_force(self):
+        for seed in range(3):
+            db = _join_db(seed, N, rows=5)
+            for text in (
+                "select[a=c,b=d](product(R,T))",
+                "project[a](select[b=d,a=c](product(R,T)))",
+                "select[a=c,b!=d](product(R,T))",
+            ):
+                _assert_matches_brute_force(cli.parse_query(text), db)
+
+    def test_leading_constant_atom_matches_brute_force(self, shops_db):
+        plan = cli.parse_query(
+            "select[shop='M&S',sid=sid2](product(S,rename[sid2<-sid](PS)))"
+        )
+        table = evaluate(plan, shops_db)
+        assert {values[1] for values, _ in table.rows} == {"M&S"}
+        assert all(values[0] == values[2] for values, _ in table.rows)
+        _assert_matches_brute_force(plan, shops_db)
+
+    def test_int_and_string_that_print_alike_never_match(self):
+        r = PvcTable("R", ("a",), (CONST,))
+        r.add_row((1,), Var("u"))
+        r.add_row(("1",), Var("v"))
+        t = PvcTable("T", ("c",), (CONST,))
+        t.add_row(("1",), Var("w"))
+        t.add_row((1,), Var("x"))
+        db = PvcDatabase([r, t], {n: coin() for n in "uvwx"}, B)
+        plan = cli.parse_query("select[a=c](product(R,T))")
+        out = evaluate(plan, db)
+        assert [values for values, _ in out.rows] == [(1, 1), ("1", "1")]
+        assert [phi for _, phi in out.rows] == [
+            alg.make_product([Var("u"), Var("x")]),
+            alg.make_product([Var("v"), Var("w")]),
+        ]
+        _assert_matches_brute_force(plan, db)
+
+    def test_aggregate_column_stays_a_symbolic_factor(self):
+        db = _join_db(0, rows=4)
+        plan = cli.parse_query("select[m=d](product(agg[a; m<-min(b)](R),T))")
+        groups = evaluate(cli.parse_query("agg[a; m<-min(b)](R)"), db).rows
+        out = evaluate(plan, db)
+        t = db.tables["T"]
+        assert len(out.rows) == len(groups) * len(t.rows)
+        for (values, phi), ((gv, gphi), (tv, tphi)) in zip(
+            out.rows, [(g, r) for g in groups for r in t.rows]
+        ):
+            assert values == gv + tv
+            cmp = Cmp(gv[1], "=", alg.MConst(gv[1].kind, tv[1]))
+            assert phi.key() == alg.make_product([gphi, tphi, cmp]).key()
+        _assert_matches_brute_force(plan, db)
+        _assert_matches_brute_force(
+            cli.parse_query("select[a=c,m=d](product(agg[a; m<-min(b)](R),T))"), db
+        )
+
+    def test_order_comparison_with_a_string_still_raises(self):
+        r = PvcTable("R", ("a",), (CONST,))
+        r.add_row((1,), Var("u"))
+        s = PvcTable("S", ("s",), (CONST,))
+        s.add_row(("x",), Var("v"))
+        db = PvcDatabase([r, s], {"u": coin(), "v": coin()}, B)
+        for text in ("select[s<=a](product(R,S))", "select[s<=a,a=s](product(R,S))"):
+            with pytest.raises(UnorderedCarrier):
+                evaluate(cli.parse_query(text), db)
+        # No pair passes a=s, so the nested loop never reaches s<=a.
+        out = evaluate(cli.parse_query("select[a=s,s<=a](product(R,S))"), db)
+        assert out.rows == []
