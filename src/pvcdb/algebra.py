@@ -530,10 +530,17 @@ def make_product(parts):
 
 
 def make_scaled(kind, weight, value):
+    """Build ``weight (x) value``, folding it to a constant when the
+    weight is a constant, or, for MIN and MAX, when the weight is
+    non-zero under every valuation (scaling then yields ``value``)."""
     if isinstance(weight, Const):
         return MConst(kind, scale(weight.value, value, kind))
     if value == kind.neutral:
         return MConst(kind, kind.neutral)
+    if kind in (MonoidKind.MIN, MonoidKind.MAX):
+        bounds = _value_range(weight)
+        if bounds is not None and bounds[0] >= 1:
+            return MConst(kind, value)
     return Scaled(kind, weight, value)
 
 

@@ -279,6 +279,12 @@ def load_table(path):
 
 
 def load_probabilities(path):
+    """Read a probability file into one distribution per variable.
+
+    Zero-probability lines are dropped, since such a value is outside the
+    support; each variable's probabilities must sum to 1 within
+    ``prob.MASS_TOL``.
+    """
     path = pathlib.Path(path)
     dists = {}
     pairs = {}
@@ -288,14 +294,25 @@ def load_probabilities(path):
         cells = line.split("\t")
         if len(cells) != 3:
             raise ParseError("%s line %d: expected var, value, prob" % (path, n))
-        var, value, prob = cells[0], int(cells[1]), float(cells[2])
+        try:
+            var, value, prob = cells[0], int(cells[1]), float(cells[2])
+        except ValueError:
+            raise ParseError("%s line %d: malformed value or probability" % (path, n)) from None
+        if not (0.0 <= prob < math.inf):
+            raise ParseError("%s line %d: probability %r is not a finite non-negative number"
+                             % (path, n, cells[2]))
         if (var, value) in pairs:
             raise DuplicateVariable(
                 "%s declared twice for value %d (%s line %d)" % (var, value, path, n)
             )
         pairs[(var, value)] = prob
-        dists.setdefault(var, []).append((value, prob))
-    return {var: Distribution(entries) for var, entries in dists.items()}
+        entries = dists.setdefault(var, [])
+        if prob > 0:
+            entries.append((value, prob))
+    return {
+        var: Distribution(entries).check_normalized(what="distribution of %s in %s" % (var, path))
+        for var, entries in dists.items()
+    }
 
 
 def load_database(table_paths, prob_path, semiring):
@@ -755,5 +772,21 @@ def main(argv=None, out=None):
         return 1
 
 
+def run(argv=None):
+    """The command-line entry point: :func:`main`, with the interpreter's
+    recursion limit and memory exhaustion reported as one error line.
+
+    In-process callers of :func:`main` see those exceptions themselves.
+    """
+    try:
+        return main(argv)
+    except RecursionError:
+        print("error: exceeded the interpreter's recursion limit (%d)"
+              % sys.getrecursionlimit(), file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+    return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -34,6 +34,14 @@ independent tuples this makes joint compilation polynomial: once one
 row is present, the group's presence conditional ``[phi_1 + ... != 0]``
 folds to 1 and splits off from the cell, so the case splits form one
 chain, linear in the group's rows.
+
+Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
+constant for this: it keeps the terms that can decide the comparison
+and gives all terms of one outcome class one value.  Case splits that
+differ only in which term of a class fired then reach equal
+sub-expressions and share one compiled subtree, and substitution
+collapses the sum, deciding the comparison, as soon as one term's
+weight is known to be non-zero (:func:`pvcdb.algebra.make_scaled`).
 """
 
 from __future__ import annotations
@@ -846,9 +854,12 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
     """Drop redundant terms from a conditional against a constant bound.
 
     For MIN and MAX the comparison outcome only depends on terms on the
-    deciding side of the bound.  For SUM, value bounds can force the
-    comparison outright, in which case the semiring constant 1 or 0 is
-    returned.  Unrecognised shapes come back unchanged.
+    deciding side of the bound, and of those only on which outcome class
+    the extreme fired value falls in; the kept values are mapped to one
+    representative per class (:func:`_class_representatives`).  For SUM,
+    value bounds can force the comparison outright, in which case the
+    semiring constant 1 or 0 is returned.  Unrecognised shapes, and
+    conditionals with nothing to drop or map, come back unchanged.
     """
     if not isinstance(cond, Cmp):
         return cond
@@ -866,12 +877,13 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
         if type(forced) is Const:
             return forced
         kept = [t for t in terms if keep(t.value, bound)]
-        if len(kept) == len(terms):
-            return cond
         if not kept:
             # No remaining term can decide the comparison, so its truth
             # is that of the empty sum against the bound.
             return Const(1 if alg.compare(kind.neutral, bound, theta) else 0)
+        kept = _class_representatives(kept, kind, theta, bound)
+        if len(kept) == len(terms) and all(map(operator.is_, kept, terms)):
+            return cond
         return Cmp(alg.make_msum(kind, kept), theta, right)
     if kind in (MonoidKind.SUM, MonoidKind.COUNT):
         kept = [t for t in terms if not (isinstance(t, Scaled) and t.value == 0)]
@@ -884,6 +896,39 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
             return Cmp(MConst(kind, 0), theta, right)
         return Cmp(alg.make_msum(kind, kept), theta, right)
     return cond
+
+
+def _outcome_class(value, theta, bound):
+    """The side of the bound that decides ``[m theta bound]`` when the
+    extreme fired value m is ``value``: the truth of the comparison, or
+    below/equal/above for ``=`` and ``!=``."""
+    if theta in ("=", "!="):
+        return (value > bound) - (value < bound)
+    return alg.compare(value, bound, theta)
+
+
+def _class_representatives(terms, kind, theta, bound):
+    """Rewrite every scaled term's value to the smallest value of its
+    outcome class for MIN, the largest for MAX.
+
+    Classes are intervals, so the order between classes and against the
+    sum's constant part is kept, and with it the comparison's outcome
+    under every valuation.  Unchanged terms are returned as they are.
+    """
+    pick = min if kind is MonoidKind.MIN else max
+    reps = {}
+    for t in terms:
+        if type(t) is Scaled:
+            cls = _outcome_class(t.value, theta, bound)
+            reps[cls] = pick(reps.get(cls, t.value), t.value)
+    out = []
+    for t in terms:
+        if type(t) is Scaled:
+            rep = reps[_outcome_class(t.value, theta, bound)]
+            if rep != t.value:
+                t = Scaled(kind, t.weight, rep)
+        out.append(t)
+    return out
 
 
 def _weight_bounds(expr, sk, var_dists):

@@ -404,3 +404,49 @@ class TestMakeCmp:
         selection = parse_expr("[min{x(x)3 + y(x)9} <= 5]")
         assert alg.substitute(selection, "x", 1) == Const(1)
         assert alg.substitute(selection, "y", 1) == parse_expr("[min{x(x)3 + 9} <= 5]")
+
+
+class TestMakeScaled:
+    # Weights that are at least 1 under every valuation in both
+    # semirings: a semiring sum with a non-zero constant summand.
+    NONZERO = (
+        Add([Const(1), Var("x")]),
+        Add([Var("x"), Mul([Var("x"), Var("y")]), Const(1)]),
+    )
+
+    @pytest.mark.parametrize("kind", list(MonoidKind))
+    def test_folds_nonzero_weights_under_min_and_max_only(self, kind):
+        for weight in self.NONZERO:
+            out = alg.make_scaled(kind, weight, 4)
+            if kind in (MonoidKind.MIN, MonoidKind.MAX):
+                assert out == MConst(kind, 4)
+            else:
+                assert out == Scaled(kind, weight, 4)
+
+    @pytest.mark.parametrize("kind", [MonoidKind.MIN, MonoidKind.MAX])
+    def test_weights_that_may_be_zero_stay_symbolic(self, kind):
+        for weight in (Var("x"), Add([Var("x"), Var("y")]), Add([Const(0), Var("x")]),
+                       Mul([Const(2), Var("x")]), Cmp(Var("x"), "=", Const(0))):
+            assert alg.make_scaled(kind, weight, 4) == Scaled(kind, weight, 4)
+
+    @pytest.mark.parametrize("kind", list(MonoidKind))
+    def test_folded_term_equals_unfolded_under_every_valuation(self, kind):
+        for weight in self.NONZERO:
+            for value in (0, 3, kind.neutral):
+                unfolded = Scaled(kind, weight, value)
+                folded = alg.make_scaled(kind, weight, value)
+                for sk, nu in _cmp_valuations((B, N)):
+                    assert folded.eval(nu, sk) == unfolded.eval(nu, sk)
+
+    def test_substitution_folds_a_fired_clause(self):
+        # x = 1 leaves 1 + y*z as the weight of the 2-term, which then
+        # absorbs the 7-term and decides the comparison.
+        cond = parse_expr("[min{(x + y*z)(x)2 + w(x)7} <= 5]")
+        assert alg.substitute(cond, "x", 1) == Const(1)
+        assert alg.substitute(parse_expr("max{(x + y)(x)2 + w(x)7}"), "x", 1) == parse_expr(
+            "max{w(x)7 + 2}"
+        )
+        sum_term = parse_expr("sum{(x + y)(x)2}")
+        assert alg.substitute(sum_term, "x", 1) == Scaled(
+            MonoidKind.SUM, Add([Const(1), Var("y")]), 2
+        )

@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import pathlib
@@ -8,7 +9,7 @@ import pytest
 
 import pvcdb
 from pvcdb import algebra as alg
-from pvcdb import cli
+from pvcdb import cli, dtree
 from pvcdb.algebra import MonoidKind
 from pvcdb.engine import Aggregate, Project, Select, answer_distributions
 from pvcdb.errors import (
@@ -17,6 +18,7 @@ from pvcdb.errors import (
     InvalidParams,
     MissingDistribution,
     ParseError,
+    WeightSumOutOfTolerance,
 )
 from pvcdb.exprtext import format_expr, parse_expr
 from pvcdb.oracle import brute_query
@@ -87,17 +89,17 @@ class TestTableIo:
         assert s.columns == ("sid", "shop")
         assert s.rows[0] == ((1, "M&S"), alg.Var("x1"))
 
-    def test_round_trip(self, shops_db):
+    def test_round_trip(self, shops_db, tmp_path):
         for table in shops_db.tables.values():
             text = cli.format_table(table)
-            tmp = pathlib.Path("/tmp/pvcdb_roundtrip.tsv")
+            tmp = tmp_path / "roundtrip.tsv"
             tmp.write_text(text)
             again = cli.load_table(tmp)
             assert again.columns == table.columns
             assert again.roles == table.roles
             assert again.rows == table.rows
         probs_text = cli.format_probabilities(shops_db.var_dists)
-        tmp = pathlib.Path("/tmp/pvcdb_probs.tsv")
+        tmp = tmp_path / "probs.tsv"
         tmp.write_text(probs_text)
         again = cli.load_probabilities(tmp)
         for name, dist in shops_db.var_dists.items():
@@ -126,6 +128,38 @@ class TestTableIo:
         probs.write_text("u\t0\t0.5\nu\t0\t0.5\n")
         with pytest.raises(DuplicateVariable):
             cli.load_probabilities(probs)
+
+    def test_zero_probability_lines_are_dropped(self, tmp_path):
+        probs = tmp_path / "probs.tsv"
+        probs.write_text("x\t0\t1.0\nx\t1\t0.0\ny\t0\t0.25\ny\t2\t0\ny\t1\t0.75\n")
+        dists = cli.load_probabilities(probs)
+        assert dists["x"].entries == ((0, 1.0),)
+        assert dists["y"].entries == ((0, 0.25), (1, 0.75))
+        code, out = run_cli("prob", "--expr", "x + y", "--probs", str(probs))
+        assert code == 0
+        assert out == "0\t0.25\n1\t0.75\n"
+
+    @pytest.mark.parametrize("prob", ["-0.5", "inf", "-inf", "nan", "half"])
+    def test_bad_probability_names_file_and_line(self, tmp_path, prob):
+        probs = tmp_path / "probs.tsv"
+        probs.write_text("x\t0\t0.5\n\nx\t1\t%s\n" % prob)
+        with pytest.raises(ParseError, match=r"probs\.tsv line 3"):
+            cli.load_probabilities(probs)
+
+    @pytest.mark.parametrize("text", ["x\t0\t0.2\nx\t1\t0.4\n", "x\t0\t0.7\nx\t1\t0.7\n",
+                                      "x\t0\t0\n"])
+    def test_mass_off_one_names_the_variable(self, tmp_path, text):
+        probs = tmp_path / "probs.tsv"
+        probs.write_text("y\t1\t1.0\n" + text)
+        with pytest.raises(WeightSumOutOfTolerance, match="distribution of x "):
+            cli.load_probabilities(probs)
+        code, _ = run_cli("prob", "--expr", "x", "--probs", str(probs))
+        assert code == 1
+
+    def test_mass_within_tolerance_accepted(self, tmp_path):
+        probs = tmp_path / "probs.tsv"
+        probs.write_text("x\t0\t0.1\nx\t1\t0.2\nx\t2\t0.7\n")
+        assert cli.load_probabilities(probs)["x"].support == (0, 1, 2)
 
     def test_header_only_table(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -385,6 +419,50 @@ class TestSubcommands:
         assert code == 1
         code, _ = run_cli("prob", "--expr", expr, "--probs", str(probs))
         assert code == 0
+
+    def test_recursion_limit_is_one_error_line(self, tmp_path, capsys):
+        # A chain of case splits one variable deep each, against a
+        # recursion limit lowered so the chain cannot fit.
+        n = 300
+        probs = tmp_path / "p.tsv"
+        probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n)))
+        expr = "[%s != 0] * [min{%s} >= 25]" % (
+            " + ".join("x%d" % i for i in range(n)),
+            " + ".join("x%d(x)%d" % (i, i % 50) for i in range(n)),
+        )
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            code = cli.run(["prob", "--expr", expr, "--probs", str(probs)])
+        finally:
+            sys.setrecursionlimit(old)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: exceeded the interpreter's recursion limit (")
+        assert err.count("\n") == 1
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(dtree, "compile", exhausted)
+        probs = tmp_path / "p.tsv"
+        probs.write_text("a\t0\t0.5\na\t1\t0.5\n")
+        code = cli.run(["prob", "--expr", "a", "--probs", str(probs)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_main_lets_interpreter_limits_through(self, tmp_path, monkeypatch):
+        # In-process callers of main, such as perfbench's run loop, see
+        # the exception itself.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(dtree, "compile", exhausted)
+        probs = tmp_path / "p.tsv"
+        probs.write_text("a\t0\t0.5\na\t1\t0.5\n")
+        with pytest.raises(MemoryError):
+            run_cli("prob", "--expr", "a", "--probs", str(probs))
 
     def test_python_dash_m(self):
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pvcdb.__file__).parents[1]))

@@ -502,6 +502,66 @@ class TestPrune:
         expr = parse_expr("x + y")
         assert prune(expr) is expr
 
+    # Terms a..e carry the values 1, 3, 5, 7, 9 against the bound 5.
+    # Pruning keeps the terms that can decide the comparison; each kept
+    # value becomes the smallest (MIN) or largest (MAX) of its outcome
+    # class: the comparison's truth for the order thetas, below / equal /
+    # above the bound for = and !=.
+    REPRESENTATIVES = {
+        ("min", "<="): {"a": 1, "b": 1, "c": 1},
+        ("min", "<"): {"a": 1, "b": 1},
+        ("min", ">="): {"a": 1, "b": 1},
+        ("min", ">"): {"a": 1, "b": 1, "c": 1},
+        ("min", "="): {"a": 1, "b": 1, "c": 5},
+        ("min", "!="): {"a": 1, "b": 1, "c": 5},
+        ("max", ">="): {"c": 9, "d": 9, "e": 9},
+        ("max", ">"): {"d": 9, "e": 9},
+        ("max", "<="): {"d": 9, "e": 9},
+        ("max", "<"): {"c": 9, "d": 9, "e": 9},
+        ("max", "="): {"c": 5, "d": 9, "e": 9},
+        ("max", "!="): {"c": 5, "d": 9, "e": 9},
+    }
+
+    @pytest.mark.parametrize("kind,theta", sorted(REPRESENTATIVES))
+    def test_values_become_class_representatives(self, kind, theta):
+        body = "%s{a(x)1 + b(x)3 + c(x)5 + d(x)7 + e(x)9}" % kind
+        dists = {n: coin(0.3 + 0.1 * i) for i, n in enumerate("abcde")}
+        for cond in (parse_expr("[%s %s 5]" % (body, theta)),
+                     parse_expr("[5 %s %s]" % (dtree._MIRROR[theta], body))):
+            out = prune(cond)
+            assert out.right == MConst(MonoidKind(kind), 5)
+            terms = {t.weight.name: t.value for t in alg.sum_parts(out.left)}
+            assert terms == self.REPRESENTATIVES[kind, theta]
+            assert prune(out) is out
+            for sk in (B, N):
+                got = distribution(dtree.compile(out, dists, sk), sk)
+                assert got.close_to(brute_distribution(cond, dists, sk), 1e-12)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[min{x(x)2 + y(x)2 + x*y(x)2} <= 5]",
+            "[5 >= min{x(x)2 + y(x)2}]",
+            "[min{x(x)1 + y(x)5} = 5]",
+            "[max{x(x)9 + y(x)5 + z(x)9} != 5]",
+            "[min{x(x)1 + y(x)1 + 5} = 5]",
+            "[max{x(x)8 + (1 + y)*z(x)8 + 5} != 5]",
+        ],
+    )
+    def test_coarse_values_left_unchanged(self, text):
+        cond = parse_expr(text)
+        assert prune(cond) is cond
+
+    def test_constant_part_keeps_its_order(self):
+        # 4 and 2 are both below 5, so they share a class; the constant
+        # part 5 stays above every representative of the class.
+        cond = parse_expr("[min{x(x)4 + y(x)2 + 5} = 5]")
+        out = prune(cond)
+        assert alg.equivalent(out, parse_expr("[min{x(x)2 + y(x)2 + 5} = 5]"))
+        dists = {"x": coin(0.3), "y": coin(0.6)}
+        got = distribution(dtree.compile(out, dists, B), B)
+        assert got.close_to(brute_distribution(cond, dists, B), 1e-12)
+
     @pytest.mark.parametrize("kind", ["min", "max", "sum"])
     def test_soundness_randomized(self, kind):
         rng = random.Random(hash(kind) % 500)
@@ -516,6 +576,52 @@ class TestPrune:
             got = distribution(dtree.compile(pruned, dists, B), B)
             want = distribution(dtree.compile(cond, dists, B), B)
             assert got.close_to(want, 1e-9)
+
+
+def _rand_minmax_cond(rng, sk, kind, theta):
+    """A random conditional ``[kind{...} theta c]`` (bound on either
+    side), sometimes under a product with a variable, and its variables'
+    distributions: coins, and 3-valued variables under nat.  Weights are
+    sums of products, sometimes with a constant summand (``1 + x``), and
+    the sum sometimes has a constant part."""
+    names = ["v%d" % i for i in range(rng.randint(2, 6))]
+    dists = {}
+    for n in names:
+        if sk is N and rng.random() < 0.5:
+            cuts = sorted(rng.uniform(0.1, 0.9) for _ in range(2))
+            dists[n] = Distribution([(0, cuts[0]), (1, cuts[1] - cuts[0]), (2, 1 - cuts[1])])
+        else:
+            dists[n] = coin(rng.uniform(0.2, 0.8))
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        clauses = [
+            alg.make_product([Var(rng.choice(names)) for _ in range(rng.randint(1, 2))])
+            for _ in range(rng.randint(1, 2))
+        ]
+        if rng.random() < 0.25:
+            clauses.append(Const(1))
+        terms.append(alg.Scaled(kind, alg.make_sum(clauses), rng.randint(0, 10)))
+    if rng.random() < 0.3:
+        terms.append(MConst(kind, rng.randint(0, 10)))
+    body, bound = alg.make_msum(kind, terms), MConst(kind, rng.randint(0, 10))
+    cond = Cmp(body, theta, bound) if rng.random() < 0.7 else Cmp(bound, theta, body)
+    if rng.random() < 0.3:
+        cond = alg.make_product([Var(rng.choice(names)), cond])
+    return cond, dists
+
+
+class TestMinMaxConditionalSweep:
+    @pytest.mark.parametrize("sk", [B, N])
+    @pytest.mark.parametrize("kind", [MonoidKind.MIN, MonoidKind.MAX])
+    @pytest.mark.parametrize("theta", alg.THETAS)
+    def test_matches_brute_force(self, sk, kind, theta):
+        rng = random.Random("%s/%s/%s" % (sk.value, kind.value, theta))
+        for case in range(125):
+            expr, dists = _rand_minmax_cond(rng, sk, kind, theta)
+            want = brute_distribution(expr, dists, sk)
+            for source in (expr, dtree.prune_all(expr, sk, dists)):
+                got = distribution(dtree.compile(source, dists, sk), sk)
+                assert got.close_to(want, 1e-9), (case, expr, source)
 
 
 class TestCompileJoint:
