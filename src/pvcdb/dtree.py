@@ -11,7 +11,9 @@ mutex nodes.
 The compiler applies rules in a fixed order: constant folding, then an
 independent-sum split, an independent-product split, an independent
 scaling split, an independent comparison split, and finally a mutex
-expansion on the variable with most occurrences.  The independence
+expansion.  It splits on the variable with most occurrences, except in a
+MIN or MAX sum with a clause of one variable, where that variable goes
+first (the unit rule, :func:`choose_branch_variable`).  The independence
 splits work on the flattened source form: summands are grouped by
 connected components of their variable-overlap graph, products by
 components of their factors, and a sum of products is factored by the
@@ -42,6 +44,9 @@ differ only in which term of a class fired then reach equal
 sub-expressions and share one compiled subtree, and substitution
 collapses the sum, deciding the comparison, as soon as one term's
 weight is known to be non-zero (:func:`pvcdb.algebra.make_scaled`).
+The unit rule steers case splits there: a clause left with one
+variable decides the sum where that variable is non-zero, and where it
+is zero every clause that contains it vanishes.
 """
 
 from __future__ import annotations
@@ -310,6 +315,16 @@ def connected_groups(keyed, pool_keyless=False):
     items, in first-occurrence order.  Items without keys each form a
     group of their own, or with ``pool_keyless`` one group, placed last.
     """
+    seen = set()
+    for _, keys in keyed:
+        if not seen.isdisjoint(keys):
+            break
+        seen.update(keys)
+    else:
+        # No key is shared: every item with keys is a group of its own.
+        groups = [[item] for item, keys in keyed if keys or not pool_keyless]
+        pooled = [item for item, keys in keyed if pool_keyless and not keys]
+        return groups + [pooled] if pooled else groups
     parent = list(range(len(keyed)))
 
     def find(i):
@@ -419,7 +434,18 @@ def split_product(expr):
 
 def split_scale(expr):
     """Factor a common semiring condition out of a scaled sum, or None."""
-    if not isinstance(expr, (Scaled, MSum)):
+    if type(expr) is Scaled:
+        # The whole condition, less its constant factors, which stay
+        # with the value.
+        factors = alg.product_factors(expr.weight)
+        consts = [f for f in factors if not alg.variables(f)]
+        if len(consts) == len(factors):
+            return None
+        if not consts:
+            return expr.weight, MConst(expr.kind, alg.scale(1, expr.value, expr.kind))
+        psi = alg.make_product([f for f in factors if alg.variables(f)])
+        return psi, alg.make_scaled(expr.kind, alg.make_product(consts), expr.value)
+    if not isinstance(expr, MSum):
         return None
     terms = alg.sum_parts(expr)
     if any(not isinstance(t, Scaled) for t in terms):
@@ -451,12 +477,48 @@ def split_compare(expr):
 
 
 def choose_branch_variable(expr):
-    """The variable with most occurrences in the expression as written;
-    ties break towards the lexicographically smallest name."""
+    """The variable to split a case on.
+
+    A MIN or MAX sum, or a conditional on one, whose term has a clause
+    that is one variable goes first (:func:`_unit_variable`).  Otherwise
+    the variable with most occurrences in the expression as written; ties
+    break towards the lexicographically smallest name.
+    """
     counts = alg.occurrences(expr)
     if not counts:
         raise NoVariables("expression has no variables")
+    unit = _unit_variable(expr, counts)
+    if unit is not None:
+        return unit
     return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
+def _unit_variable(expr, counts):
+    """The variable of a one-variable clause in a MIN or MAX sum (or in
+    either side of a conditional), or None.
+
+    Where the variable is non-zero its term fires, and for the best value
+    that decides the sum; where it is zero every clause that contains it
+    vanishes.  Case splits on a sum of products meet such clauses again
+    and again, as they set the other variables of a clause.  The best
+    value (smallest for MIN, largest for MAX) goes first, then most
+    occurrences, then the smallest name.
+    """
+    sides = (expr.left, expr.right) if type(expr) is Cmp else (expr,)
+    best = None
+    for side in sides:
+        if type(side) not in (Scaled, MSum) or side.kind not in (MonoidKind.MIN, MonoidKind.MAX):
+            continue
+        sign = 1 if side.kind is MonoidKind.MIN else -1
+        for t in alg.sum_parts(side):
+            if type(t) is not Scaled:
+                continue
+            for clause in alg.sum_parts(t.weight):
+                if type(clause) is Var:
+                    rank = (sign * t.value, -counts[clause.name], clause.name)
+                    if best is None or rank < best:
+                        best = rank
+    return None if best is None else best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -985,24 +1047,34 @@ def _sum_forced(theta, terms, bound, sk, var_dists):
 
 
 def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
-    """Apply :func:`prune` to every conditional inside an expression."""
-    if isinstance(expr, (Var, Const, MConst)):
+    """Apply :func:`prune` to every conditional inside an expression.
+
+    Subtrees in which nothing changes are returned as they are.
+    """
+    t = type(expr)
+    if t is Var or t is Const or t is MConst:
         return expr
-    if isinstance(expr, Add):
-        return alg.make_sum([prune_all(p, sk, var_dists) for p in expr.parts])
-    if isinstance(expr, Mul):
-        return alg.make_product([prune_all(p, sk, var_dists) for p in expr.parts])
-    if isinstance(expr, Cmp):
-        rebuilt = Cmp(
-            prune_all(expr.left, sk, var_dists),
-            expr.theta,
-            prune_all(expr.right, sk, var_dists),
-        )
-        return prune(rebuilt, sk, var_dists)
-    if isinstance(expr, Scaled):
-        return alg.make_scaled(expr.kind, prune_all(expr.weight, sk, var_dists), expr.value)
-    if isinstance(expr, MSum):
-        return alg.make_msum(expr.kind, [prune_all(t, sk, var_dists) for t in expr.terms])
+    if t is Cmp:
+        left = prune_all(expr.left, sk, var_dists)
+        right = prune_all(expr.right, sk, var_dists)
+        if left is not expr.left or right is not expr.right:
+            expr = Cmp(left, expr.theta, right)
+        return prune(expr, sk, var_dists)
+    if t is Scaled:
+        weight = prune_all(expr.weight, sk, var_dists)
+        if weight is expr.weight:
+            return expr
+        return alg.make_scaled(expr.kind, weight, expr.value)
+    if t is MSum:
+        pruned = [prune_all(c, sk, var_dists) for c in expr.terms]
+        if all(map(operator.is_, pruned, expr.terms)):
+            return expr
+        return alg.make_msum(expr.kind, pruned)
+    if t is Add or t is Mul:
+        pruned = [prune_all(c, sk, var_dists) for c in expr.parts]
+        if all(map(operator.is_, pruned, expr.parts)):
+            return expr
+        return (alg.make_sum if t is Add else alg.make_product)(pruned)
     raise TypeError("not an expression: %r" % (expr,))
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pvcdb import algebra as alg
-from pvcdb import dtree
+from pvcdb import cli, dtree
 from pvcdb.algebra import Cmp, Const, INF, MConst, MonoidKind, SemiringKind, Var
 from pvcdb.dtree import (
     ConstLeaf,
@@ -90,6 +90,26 @@ class TestSplits:
         expr = parse_expr("[x + y <= x]")
         assert split_compare(expr) is None
 
+    def test_scalar_rule_on_one_term(self):
+        # The whole condition splits off; constant factors stay with the
+        # value, as the rule for several terms would leave them.
+        weight = parse_expr("(a + b)*c")
+        psi, rest = split_scale(alg.Scaled(MonoidKind.MIN, weight, 4))
+        assert psi is weight
+        assert rest == MConst(MonoidKind.MIN, 4)
+        scaled = alg.Scaled(MonoidKind.SUM, alg.make_product([Const(2), Var("a"), Var("b")]), 3)
+        psi, rest = split_scale(scaled)
+        assert alg.equivalent(psi, parse_expr("a*b"))
+        assert rest == MConst(MonoidKind.SUM, 6)
+        assert split_scale(alg.Scaled(MonoidKind.SUM, Const(2), 3)) is None
+
+    def test_connected_groups(self):
+        keyed = [("a", {"x"}), ("k", set()), ("b", {"y"})]
+        assert dtree.connected_groups(keyed) == [["a"], ["k"], ["b"]]
+        assert dtree.connected_groups(keyed, pool_keyless=True) == [["a"], ["b"], ["k"]]
+        keyed.append(("c", {"y", "x"}))
+        assert dtree.connected_groups(keyed, pool_keyless=True) == [["a", "b", "c"], ["k"]]
+
 
 class TestChooseBranchVariable:
     def test_most_occurrences(self):
@@ -108,6 +128,22 @@ class TestChooseBranchVariable:
     def test_no_variables(self):
         with pytest.raises(NoVariables):
             choose_branch_variable(Const(1))
+
+    def test_one_variable_clause_goes_first(self):
+        # x occurs most, but w alone makes its term fire.
+        expr = parse_expr("[min{x*y*z(x)3 + (w + x*y)(x)5 + x*z(x)4} <= 6]")
+        assert choose_branch_variable(expr) == "w"
+        assert choose_branch_variable(parse_expr("[6 >= max{x*y(x)3 + x*z(x)4 + w(x)9}]")) == "w"
+
+    def test_one_variable_clauses_by_value_then_occurrences(self):
+        assert choose_branch_variable(parse_expr("min{a(x)7 + b(x)2 + a*c(x)1}")) == "b"
+        assert choose_branch_variable(parse_expr("max{a(x)7 + b(x)2 + a*c(x)1}")) == "a"
+        assert choose_branch_variable(parse_expr("min{a(x)2 + b(x)2 + b*c(x)1}")) == "b"
+        assert choose_branch_variable(parse_expr("min{b(x)2 + a(x)2}")) == "a"
+
+    def test_other_monoids_by_occurrences(self):
+        expr = parse_expr("sum{a*b(x)1 + a*c(x)2 + d(x)3}")
+        assert choose_branch_variable(expr) == "a"
 
 
 class TestCompileShapes:
@@ -478,6 +514,14 @@ class TestReduceToBoolean:
 
 
 class TestPrune:
+    def test_prune_all_keeps_unchanged_subtrees(self):
+        expr = parse_expr("y*[min{a(x)3 + b(x)3} <= 5] + z*[sum{a(x)2} >= 1]")
+        assert dtree.prune_all(expr) is expr
+        expr = parse_expr("y*[min{a(x)3 + b(x)9} <= 5] + z*[sum{a(x)2} >= 1]")
+        out = dtree.prune_all(expr)
+        assert alg.equivalent(out, parse_expr("y*[min{a(x)3} <= 5] + z*[sum{a(x)2} >= 1]"))
+        assert out.parts[1] is expr.parts[1]
+
     def test_min_drops_terms_above_bound(self):
         cond = parse_expr("[min{x(x)10 + y(x)20} <= 15]")
         out = prune(cond)
@@ -608,6 +652,21 @@ def _rand_minmax_cond(rng, sk, kind, theta):
     if rng.random() < 0.3:
         cond = alg.make_product([Var(rng.choice(names)), cond])
     return cond, dists
+
+
+class TestDenseMinConditionals:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_compiles_within_budget(self, seed):
+        # [min{...} <= 50] over 32 terms of 3 clauses of 3 of 25 variables,
+        # every value at most 50: after pruning, any firing clause decides
+        # it.  Splitting on one-variable clauses first keeps these near
+        # 5,000-6,500 nodes; by occurrences alone they take 10,900-14,100.
+        params = cli.GenParams(
+            terms_left=32, clauses=3, literals=3, num_vars=25, maxv=50, c=50, seed=seed
+        )
+        expr, dists = cli.gen_expression(params), cli.gen_var_dists(params, 0.5)
+        tree = dtree.compile(dtree.prune_all(expr, B, dists), dists, B, node_budget=9000)
+        assert distribution(tree, B).total_mass() == pytest.approx(1.0)
 
 
 class TestMinMaxConditionalSweep:
