@@ -24,9 +24,13 @@ always applicable but can be exponential.
 
 Sum and product nodes are n-ary: one split yields every connected
 component, so an aggregate over n independent tuples is one node with n
-children, compiled in linear time and folded in one loop with a per-pair
-kernel picked once per node (builtin ``min``/``max``, unchecked ``+``
-when the largest values cannot overflow 64 bits).
+children, compiled in linear time and folded in one loop with a kernel
+picked once per node (:func:`_fold`).  SUM and COUNT accumulate all
+children in one dense list (:func:`pvcdb.prob.sum_fold`) when their
+supports are integral and the list is no wider than the pairwise work
+warrants; otherwise they add pairwise, unchecked when the largest
+values cannot overflow 64 bits.  MIN and MAX merge sorted supports
+(:func:`pvcdb.prob.extreme_convolve`).  :func:`distribution` walks the tree with an explicit stack.
 
 A mutex branch substitutes one value for its variable, and substitution
 folds every comparison that the remaining values already decide
@@ -78,7 +82,14 @@ from .errors import (
     NoVariables,
     WrongMonoid,
 )
-from .prob import Distribution, compare_convolve, convolve, mix
+from .prob import (
+    Distribution,
+    compare_convolve,
+    convolve,
+    extreme_convolve,
+    mix,
+    sum_fold,
+)
 
 # ---------------------------------------------------------------------------
 # Nodes
@@ -617,88 +628,117 @@ def compile(expr, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
 # ---------------------------------------------------------------------------
 
 
-def distribution(d, sk=SemiringKind.BOOLEAN, _memo=None):
+def distribution(d, sk=SemiringKind.BOOLEAN):
     """The exact probability distribution represented by a tree,
-    computed bottom-up with one result per distinct node."""
-    memo = _memo if _memo is not None else {}
-    hit = memo.get(id(d))
-    if hit is not None:
-        return hit
-    out = _distribution(d, sk, memo)
-    memo[id(d)] = out
-    return out
+    computed bottom-up with one result per distinct node.
+
+    The walk keeps its own post-order stack, so a deep tree, such as the
+    case-split chain of a grouped joint, does not meet Python's recursion
+    limit.
+    """
+    memo = {}
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node below now has its children's results
+            node = stack.pop()
+        elif id(node) in memo:
+            continue
+        else:
+            children = node.children()
+            if children:
+                stack.append(node)
+                stack.append(None)
+                stack += children
+                continue
+        memo[id(node)] = _distribution(node, sk, memo)
+    return memo[id(d)]
 
 
 def _distribution(d, sk, memo):
-    if isinstance(d, VarLeaf):
-        return d.dist
-    if isinstance(d, ConstLeaf):
-        return Distribution.point(d.value)
-    if isinstance(d, MonoidLeaf):
-        return Distribution.point(d.value)
-    if isinstance(d, SumNode):
-        return _fold(d, sk.add if d.kind is None else _KERNELS.get(d.kind), sk, memo)
-    if isinstance(d, ProdNode):
-        return _fold(d, sk.mul, sk, memo)
-    if isinstance(d, ScaleNode):
-        return convolve(
-            distribution(d.left, sk, memo),
-            distribution(d.right, sk, memo),
-            lambda s, m: alg.scale(s, m, d.kind),
-        )
-    if isinstance(d, CmpNode):
-        return compare_convolve(
-            distribution(d.left, sk, memo), distribution(d.right, sk, memo), d.theta
-        )
+    """The distribution of one node, whose children's are in ``memo``."""
     if isinstance(d, MutexNode):
         weights = [p for _, p, _ in d.branches]
-        children = [distribution(c, sk, memo) for _, _, c in d.branches]
-        return mix(weights, children)
+        return mix(weights, [memo[id(c)] for _, _, c in d.branches])
+    if isinstance(d, (SumNode, ProdNode)):
+        return _fold(d, sk, memo)
+    if isinstance(d, ScaleNode):
+        return convolve(
+            memo[id(d.left)], memo[id(d.right)], lambda s, m: alg.scale(s, m, d.kind)
+        )
+    if isinstance(d, VarLeaf):
+        return d.dist
+    if isinstance(d, (ConstLeaf, MonoidLeaf)):
+        return Distribution.point(d.value)
+    if isinstance(d, CmpNode):
+        return compare_convolve(memo[id(d.left)], memo[id(d.right)], d.theta)
     if isinstance(d, JointScalar):
-        inner = distribution(d.inner, sk, memo)
-        return Distribution(((v,), p) for v, p in inner.entries)
+        return Distribution._sorted(((v,), p) for v, p in memo[id(d.inner)].entries)
     if isinstance(d, JointProduct):
-        return _joint_product_dist(d, sk, memo)
+        return _joint_product_dist(d, memo)
     raise TypeError("not a d-tree node: %r" % (d,))
 
 
-# Per-pair kernels of monoid sums; SUM and COUNT pick theirs in _fold.
-_KERNELS = {MonoidKind.MIN: min, MonoidKind.MAX: max, MonoidKind.PROD: MonoidKind.PROD.plus}
+def _add_pair(p, q):
+    # Unchecked when the two largest values, hence all pairs, fit in 64
+    # bits; otherwise the checked ``plus`` raises on the first overflow.
+    top = p.entries[-1][0] + q.entries[-1][0]
+    return convolve(p, q, operator.add if top <= U64_MAX else MonoidKind.SUM.plus)
 
 
-def _fold(d, op, sk, memo):
+#: The convolution of two children of a monoid sum node.
+_PAIR_KERNELS = {
+    MonoidKind.MIN: lambda p, q: extreme_convolve(p, q, False),
+    MonoidKind.MAX: lambda p, q: extreme_convolve(p, q, True),
+    MonoidKind.SUM: _add_pair,
+    MonoidKind.COUNT: _add_pair,
+    MonoidKind.PROD: lambda p, q: convolve(p, q, MonoidKind.PROD.plus),
+}
+
+
+def _fold(d, sk, memo):
     """Convolve the children of an n-ary node from the last to the first,
     in the order of a right-nested binary chain.
 
     A tail of children that all have other parents may recur in another
     node, as in sibling mutex branches, so its partial results are
     memoised under the identities of their inputs, in either order since
-    the operations commute; other partial results are not kept.  With
-    ``op`` None (SUM, COUNT) a convolution adds unchecked when its two
-    largest values, hence all pairs, fit in 64 bits; otherwise the
-    checked ``plus`` raises on the first overflow.
+    the operations commute; other partial results are not kept.  Under
+    SUM and COUNT the children before that tail fold in one dense list
+    (:func:`pvcdb.prob.sum_fold`) when it pays, in the same order, so
+    that its ends are trimmed where the pairwise fold prunes them.
     """
-    acc = distribution(d.parts[-1], sk, memo)
-    shared = d.parts[-1].shared
-    for child in reversed(d.parts[:-1]):
-        p = distribution(child, sk, memo)
-        shared = shared and child.shared
-        key = (op, min(id(p), id(acc)), max(id(p), id(acc)))
-        hit = memo.get(key) if shared else None
-        if hit is None:
-            pair_op = op
-            if op is None:
-                top = p.entries[-1][0] + acc.entries[-1][0]
-                pair_op = operator.add if top <= U64_MAX else d.kind.plus
-            hit = convolve(p, acc, pair_op)
-            if shared:
-                memo[key] = hit
-        acc = hit
+    # ``tag`` names the operation in the keys of partial results.
+    if isinstance(d, ProdNode):
+        tag, pair = ProdNode, lambda p, q: convolve(p, q, sk.mul)
+    elif d.kind is None:
+        tag, pair = SumNode, lambda p, q: convolve(p, q, sk.add)
+    else:
+        tag = pair = _PAIR_KERNELS[d.kind]
+    parts = d.parts
+    i = len(parts) - 1
+    acc = memo[id(parts[i])]
+    if parts[i].shared:
+        while i > 0 and parts[i - 1].shared:
+            i -= 1
+            p = memo[id(parts[i])]
+            key = (tag, min(id(p), id(acc)), max(id(p), id(acc)))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = pair(p, acc)
+            acc = hit
+    rest = parts[i - 1 :: -1] if i else ()
+    if rest and pair is _add_pair:
+        dense = sum_fold([acc] + [memo[id(c)] for c in rest])
+        if dense is not None:
+            return dense
+    for c in rest:
+        acc = pair(memo[id(c)], acc)
     return acc
 
 
-def _joint_product_dist(d, sk, memo):
-    child_dists = [distribution(c, sk, memo) for c in d.parts]
+def _joint_product_dist(d, memo):
+    child_dists = [memo[id(c)] for c in d.parts]
     slot = {idx: i for i, idx in enumerate(d.indices)}
     entries = []
     for combo in itertools.product(*(cd.entries for cd in child_dists)):

@@ -2,39 +2,57 @@
 
 A :class:`Distribution` maps finitely many carrier values (semiring
 values, monoid values, or tuples of those for joint distributions) to
-strictly positive probabilities and is kept sorted by value.  The three
+strictly positive probabilities and is kept sorted by value.  The
 combinators mirror how decomposition-tree nodes combine the
 distributions of independent or mutually exclusive children:
 
 * :func:`convolve` gives the distribution of ``op(x, y)`` for
-  independent ``x`` and ``y`` by summing probability mass over all value
-  pairs that map to each outcome;
-* :func:`compare_convolve` specialises convolution to comparisons,
-  producing a distribution over the semiring's 0 and 1;
+  independent ``x`` and ``y`` and any operation, by summing probability
+  mass over all value pairs that map to each outcome.  It is the
+  general case and the reference for the kernels below, which take
+  fewer than every pair;
+* :func:`sum_fold` gives the distribution of ``x_1 + ... + x_n`` for
+  independent integer-valued ``x_i`` in one list of floats indexed by
+  value, when that list is no wider than the pairwise work warrants;
+* :func:`extreme_convolve` gives ``min(x, y)`` or ``max(x, y)`` in one
+  merge of the two sorted supports;
+* :func:`compare_convolve` gives the distribution of ``[x theta y]``
+  over the semiring's 0 and 1, in one sorted sweep for the order
+  comparisons and one lookup per value for ``=`` and ``!=``;
 * :func:`mix` combines distributions of mutually exclusive cases,
   weighted by the case probabilities.
 
-Probabilities are 64-bit floats; mass checks use an absolute tolerance
-of ``MASS_TOL`` and entries falling below ``PRUNE_EPS`` after a
-combination are dropped to keep supports small.  Both are module-level
-knobs.
+Probabilities are 64-bit floats.  ``MASS_TOL`` is the absolute
+tolerance of every mass check.  Every combinator drops the outcomes
+whose probability is at most ``PRUNE_EPS``, which keeps supports small.
+
+``Distribution(...)`` sorts and checks its entries, for input from
+outside such as probability files.  The combinators build their results
+with ``Distribution._sorted``, which does neither: their entries are
+sorted, unique and positive by construction.
 """
 
 from __future__ import annotations
 
-from .algebra import INF, NEG_INF
+import operator
+
+from .algebra import INF, NEG_INF, U64_MAX
 from .errors import (
     LengthMismatch,
     UnorderedCarrier,
     WeightSumOutOfTolerance,
 )
-from .algebra import compare
 
 #: Absolute tolerance for all probability-mass equality checks.
 MASS_TOL = 1e-9
 
-#: Entries with probability below this are pruned after combinations.
+#: Entries with probability at most this are pruned after combinations.
 PRUNE_EPS = 1e-15
+
+#: How many multiply-adds of the dense list :func:`sum_fold` may spend
+#: per pair the pairwise fold would take; a list step costs a fraction
+#: of a dictionary update.
+_DENSE_PAIR_RATIO = 4
 
 
 class Distribution:
@@ -57,18 +75,24 @@ class Distribution:
             seen = value
 
     @classmethod
-    def from_pairs(cls, pairs, prune=True):
+    def _sorted(cls, entries):
+        """A distribution of entries that are already sorted by value,
+        unique and positive; nothing is checked."""
+        d = object.__new__(cls)
+        d.entries = tuple(entries)
+        return d
+
+    @classmethod
+    def from_pairs(cls, pairs):
         """Accumulate possibly repeated (value, probability) pairs."""
         acc = {}
         for value, p in pairs:
             acc[value] = acc.get(value, 0.0) + p
-        if prune:
-            return cls((v, p) for v, p in acc.items() if p > PRUNE_EPS)
-        return cls((v, p) for v, p in acc.items() if p > 0)
+        return cls._sorted(_kept(acc))
 
     @classmethod
     def point(cls, value):
-        return cls(((value, 1.0),))
+        return cls._sorted(((value, 1.0),))
 
     def __iter__(self):
         return iter(self.entries)
@@ -116,6 +140,11 @@ class Distribution:
         return all(abs(self[v] - other[v]) <= tol for v in values)
 
 
+def _kept(acc):
+    """The sorted entries of a value-to-mass dict above ``PRUNE_EPS``."""
+    return sorted(item for item in acc.items() if item[1] > PRUNE_EPS)
+
+
 def convolve(p, q, op):
     """Distribution of ``op(x, y)`` for independent x ~ p and y ~ q.
 
@@ -128,30 +157,183 @@ def convolve(p, q, op):
         for b, qb in q.entries:
             c = op(a, b)
             acc[c] = acc.get(c, 0.0) + pa * qb
-    return Distribution((v, m) for v, m in acc.items() if m > PRUNE_EPS)
+    return Distribution._sorted(_kept(acc))
+
+
+def _dense_pays(dists):
+    """Whether one dense list is the cheaper way to add up ``dists``:
+    the supports are integral (monoid values are integers or infinities,
+    and infinities sort to the ends), the largest sum fits in 64 bits,
+    and the list's multiply-adds stay within ``_DENSE_PAIR_RATIO`` times
+    the pairs of the pairwise fold.  Both counts are bounds taken from
+    the supports alone: the list spans every sum between the least and
+    the largest, the pairwise support at most that many or the product
+    of the sizes."""
+    span = size = 1
+    pairs = cells = top = 0
+    for d in dists:
+        if not d.entries:
+            return False
+        low, high = d.entries[0][0], d.entries[-1][0]
+        if type(low) is not int or type(high) is not int:
+            return False
+        k = len(d.entries)
+        pairs += size * k
+        cells += span * k
+        span += high - low
+        size = min(size * k, span)
+        top += high
+    return top <= U64_MAX and cells <= _DENSE_PAIR_RATIO * pairs
+
+
+def sum_fold(dists):
+    """Distribution of ``x_1 + ... + x_n`` for independent x_i ~ dists,
+    or None when :func:`_dense_pays` says the pairwise fold is cheaper.
+
+    The mass of each sum is kept in one list indexed by the sum minus
+    the least one so far.  A two-point summand ``{a: q0, a+s: q1}`` is
+    one zipped pass, ``new[k] = acc[k] q0 + acc[k-s] q1``; any other
+    adds one scaled, shifted copy of the list per value.  Each step
+    trims the entries at either end that are at most ``PRUNE_EPS``, as
+    the pairwise fold would drop them.
+    """
+    if not _dense_pays(dists):
+        return None
+    acc = [1.0]
+    base = 0
+    for d in dists:
+        entries = d.entries
+        low = entries[0][0]
+        base += low
+        if len(entries) == 2:
+            (_, q0), (high, q1) = entries
+            s = high - low
+            if s < len(acc):
+                new = [a * q0 for a in acc[:s]]
+                new += [a * q0 + b * q1 for a, b in zip(acc[s:], acc)]
+                new += [b * q1 for b in acc[-s:]]
+            else:
+                new = [a * q0 for a in acc] + [0.0] * (s - len(acc))
+                new += [b * q1 for b in acc]
+            acc = new
+        else:
+            n = len(acc)
+            new = [0.0] * (n + entries[-1][0] - low)
+            for v, q in entries:
+                k = v - low
+                new[k : k + n] = [c + a * q for c, a in zip(new[k : k + n], acc)]
+            acc = new
+        end = len(acc)
+        while end and acc[end - 1] <= PRUNE_EPS:
+            end -= 1
+        start = 0
+        while start < end and acc[start] <= PRUNE_EPS:
+            start += 1
+        if start or end < len(acc):
+            acc = acc[start:end]
+            base += start
+    return Distribution._sorted(
+        (base + k, m) for k, m in enumerate(acc) if m > PRUNE_EPS
+    )
+
+
+#: Up to this many value pairs, :func:`extreme_convolve` takes every
+#: pair; the merge is faster from 2 x 3 values on.
+_PAIRWISE_MAX_PAIRS = 4
+
+
+def extreme_convolve(p, q, largest):
+    """Distribution of ``max(x, y)`` when ``largest``, else ``min(x, y)``,
+    for independent x ~ p and y ~ q, in one merge of the sorted supports.
+
+    The merge runs from the neutral end (the least value for MAX): the
+    maximum is v when x = v and y <= v, or y = v and x < v, so with the
+    mass of x and of y swept past so far, each outcome's mass is a sum of
+    products.  This is P(max <= v) = P(x <= v) P(y <= v) without the
+    cancellation of differencing it.  Sub-normalised inputs give a
+    result of mass ``mass(p) * mass(q)``, as with :func:`convolve`.
+    """
+    if len(p) * len(q) <= _PAIRWISE_MAX_PAIRS:
+        return convolve(p, q, max if largest else min)
+    if largest:
+        xs, ys, ahead = p.entries, q.entries, operator.lt
+    else:
+        xs, ys, ahead = p.entries[::-1], q.entries[::-1], operator.gt
+    out = []
+    past_x = past_y = 0.0
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        u, pu = xs[i]
+        w, pw = ys[j]
+        if ahead(u, w):
+            out.append((u, pu * past_y))
+            past_x += pu
+            i += 1
+        elif ahead(w, u):
+            out.append((w, pw * past_x))
+            past_y += pw
+            j += 1
+        else:
+            out.append((u, pu * (past_y + pw) + pw * past_x))
+            past_x += pu
+            past_y += pw
+            i += 1
+            j += 1
+    out.extend((u, pu * past_y) for u, pu in xs[i:])
+    out.extend((w, pw * past_x) for w, pw in ys[j:])
+    if not largest:
+        out.reverse()
+    return Distribution._sorted(item for item in out if item[1] > PRUNE_EPS)
+
+
+def _mass_at_or_above(upper, lower, strict):
+    """Mass of the pairs of independent u ~ upper, l ~ lower (sorted
+    entries) with ``l < u`` when ``strict``, else ``l <= u``: one sweep
+    with the running mass of the ``lower`` values passed."""
+    total = passed = 0.0
+    j, n = 0, len(lower)
+    for u, pu in upper:
+        while j < n and (lower[j][0] < u or (not strict and lower[j][0] == u)):
+            passed += lower[j][1]
+            j += 1
+        total += pu * passed
+    return total
 
 
 def compare_convolve(p, q, theta):
-    """Distribution over {0, 1} of ``[x theta y]`` for independent x, y."""
-    if theta in ("<=", ">=", "<", ">"):
-        for v, _ in list(p.entries[:1]) + list(q.entries[:1]):
+    """Distribution over {0, 1} of ``[x theta y]`` for independent x, y.
+
+    An order comparison is one sweep over the sorted supports; ``=`` and
+    ``!=`` need only the mass of the values both sides share.
+    """
+    total = p.total_mass() * q.total_mass()
+    if theta in ("=", "!="):
+        other = dict(q.entries)
+        equal = sum(pa * other.get(a, 0.0) for a, pa in p.entries)
+        if theta == "=":
+            true_mass, false_mass = equal, total - equal
+        else:
+            true_mass, false_mass = total - equal, equal
+    elif theta in ("<=", ">=", "<", ">"):
+        for v, _ in p.entries[:1] + q.entries[:1]:
             if isinstance(v, tuple):
                 raise UnorderedCarrier(
                     "order comparison %r on tuple-valued carrier" % theta
                 )
-    true_mass = 0.0
-    for a, pa in p.entries:
-        for b, qb in q.entries:
-            if compare(a, b, theta):
-                true_mass += pa * qb
-    total = p.total_mass() * q.total_mass()
-    false_mass = total - true_mass
+        if theta in (">=", ">"):
+            true_mass = _mass_at_or_above(p.entries, q.entries, theta == ">")
+        else:
+            true_mass = _mass_at_or_above(q.entries, p.entries, theta == "<")
+        false_mass = total - true_mass
+    else:
+        raise ValueError("unknown comparison operator %r" % theta)
     entries = []
     if false_mass > PRUNE_EPS:
         entries.append((0, false_mass))
     if true_mass > PRUNE_EPS:
         entries.append((1, true_mass))
-    return Distribution(entries)
+    return Distribution._sorted(entries)
 
 
 def mix(weights, children):
@@ -173,7 +355,7 @@ def mix(weights, children):
     for w, child in zip(weights, children):
         for v, p in child.entries:
             acc[v] = acc.get(v, 0.0) + w * p
-    return Distribution((v, m) for v, m in acc.items() if m > PRUNE_EPS)
+    return Distribution._sorted(_kept(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,23 @@ class TestTableIo:
         probs.write_text("x\t0\t0.1\nx\t1\t0.2\nx\t2\t0.7\n")
         assert cli.load_probabilities(probs)["x"].support == (0, 1, 2)
 
+    @pytest.mark.parametrize("cell", ["x0", "_y", "min", "inf", "x1 * x2", "[a + b != 0]"])
+    def test_annotation_cells_parse_as_the_expression_syntax(self, tmp_path, cell):
+        path = tmp_path / "r.tsv"
+        path.write_text("a\tphi\n1\t%s\n" % cell)
+        (_, phi), = cli.load_table(path).rows
+        assert phi.key() == parse_expr(cell).key()
+
+    @pytest.mark.parametrize("cell", ["x0 +", "1x", "x y", ""])
+    def test_malformed_annotation_cells_raise_the_parse_error(self, tmp_path, cell):
+        with pytest.raises(ParseError) as want:
+            parse_expr(cell)
+        path = tmp_path / "r.tsv"
+        path.write_text("a\tphi\n1\t%s\n" % cell)
+        with pytest.raises(ParseError) as got:
+            cli.load_table(path)
+        assert str(got.value) == str(want.value)
+
     def test_header_only_table(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("a\tb\tphi\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -345,6 +346,22 @@ class TestOverflow:
     def test_prod_at_u64_max_is_exact(self):
         out = self._two_terms(MonoidKind.PROD, 2**32 + 1, 2**32 - 1)
         assert out.support == (1, 2**32 - 1, 2**32 + 1, alg.U64_MAX)
+
+
+class TestSparseSum:
+    def test_equal_large_values_give_the_binomial(self):
+        # 31 sums spread over a span of 30 * 2**40: the fold stays
+        # pairwise instead of allocating a list that wide.
+        n, value = 30, 2**40
+        expr = alg.make_msum(
+            MonoidKind.SUM,
+            [alg.make_scaled(MonoidKind.SUM, Var("x%d" % i), value) for i in range(n)],
+        )
+        dists = {"x%d" % i: coin() for i in range(n)}
+        out = distribution(dtree.compile(expr, dists, B), B)
+        assert out.support == tuple(k * value for k in range(n + 1))
+        for k in range(n + 1):
+            assert out[k * value] == pytest.approx(math.comb(n, k) / 2**n, rel=1e-12)
 
 
 def rand_semimodule(rng, names, kind, terms=3, clause_vars=2):

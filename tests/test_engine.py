@@ -357,10 +357,13 @@ class TestGroupedJointSweep:
                             marginal[value[0]] = marginal.get(value[0], 0.0) + p
                         _assert_close(dict(row.annotation.entries), marginal, context)
 
+    @pytest.mark.parametrize("n", [64, 400])
     @pytest.mark.parametrize("agg", ["min", "max"])
-    def test_single_group_joint_of_64_rows_fits_the_budget(self, agg):
+    def test_single_group_joint_fits_the_budget(self, agg, n):
+        # At 400 rows the case-split chain is hundreds of mutex levels
+        # deep; the distribution walk must not meet the default
+        # recursion limit.
         rng = random.Random(64)
-        n = 64
         r = PvcTable("R", ("g", "v"), (CONST, CONST))
         probs = [rng.uniform(0.05, 0.3) for _ in range(n)]
         values = [rng.randint(0, 50) for _ in range(n)]
