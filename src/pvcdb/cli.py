@@ -229,7 +229,6 @@ def parse_query(text):
 # ---------------------------------------------------------------------------
 
 _INT_RE = re.compile(r"-?\d+$")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MTAG_RE = re.compile(r"(min|max|sum|count|prod)\{")
 
 
@@ -261,8 +260,7 @@ def load_table(path):
             raise ParseError("%s line %d: expected %d cells" % (path, n, len(header)))
         where = "%s line %d" % (path, n)
         values = tuple(_parse_cell(c, where) for c in cells[:-1])
-        # Most annotation cells name one variable; those skip the parser.
-        phi = alg.Var(cells[-1]) if _IDENT_RE.fullmatch(cells[-1]) else parse_expr(cells[-1])
+        phi = parse_expr(cells[-1])
         if not isinstance(phi, alg.Expr):
             raise ParseError("%s: phi must be a semiring expression" % where)
         raw_rows.append((values, phi))

@@ -32,10 +32,13 @@ import re
 from . import algebra as alg
 from .errors import ParseError
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)"
     r"|(?P<inf>[+-]inf)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<ident>" + _IDENT + r")"
     r"|(?P<op>\(x\)|<=|>=|!=|=|<|>|\+|\*|\(|\)|\[|\]|\{|\}))"
 )
 
@@ -269,6 +272,9 @@ def _coerce_mconst(expr, kind, pos):
 
 def parse_expr(text):
     """Parse an expression; returns an Expr or MExpr."""
+    # Most annotation cells name one variable; those skip the parser.
+    if _IDENT_RE.fullmatch(text):
+        return alg.Var(text)
     return _Parser(text).parse_expr()
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pvcdb import algebra as alg
+from pvcdb import exprtext
 from pvcdb.algebra import MonoidKind, Var
 from pvcdb.errors import ParseError
 from pvcdb.exprtext import format_expr, parse_expr
@@ -56,6 +57,10 @@ class TestParsing:
         for text in ("x + ", "min{x}", "[x <=]", "x ? y", "(x + y"):
             with pytest.raises(ParseError):
                 parse_expr(text)
+
+    @pytest.mark.parametrize("text", ["x0", "_y", "min", "inf", "count"])
+    def test_bare_identifier_is_the_variable_the_grammar_reads(self, text):
+        assert parse_expr(text).key() == exprtext._Parser(text).parse_expr().key()
 
 
 def _rand_expr(rng, depth=3):
