@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import Counter
 
 from . import algebra as alg
 from .algebra import (
@@ -1143,8 +1144,8 @@ def _compile_joint(compiler, indexed):
     groups = connected_groups([(item, alg.variables(item[1])) for item in indexed])
     if len(groups) > 1:
         return JointProduct([_compile_joint(compiler, g) for g in groups])
-    counts = alg.occurrences(indexed[0][1])
-    for _, expr in indexed[1:]:
+    counts = Counter()
+    for _, expr in indexed:
         counts.update(alg.occurrences(expr))
     x = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
     dist = compiler.dist_of(x)

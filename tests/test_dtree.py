@@ -779,6 +779,30 @@ class TestCompileJoint:
                 assert got[key] == pytest.approx(mass, abs=1e-9), case
 
 
+    def test_branch_choice_leaves_cached_occurrences_alone(self):
+        # The branch variable is chosen from the occurrences of all the
+        # expressions together; adding them into the first expression's
+        # cached counts once sent later splits after variables it does
+        # not contain, until the recursion limit.
+        exprs = [
+            parse_expr("x*y + y*z + z*x"),
+            parse_expr("min{x*w(x)1 + w*u0(x)2 + w*u1(x)3 + w*u2(x)4 + w*u3(x)5}"),
+        ]
+        before = [dict(alg.occurrences(e)) for e in exprs]
+        dists = {n: coin() for e in exprs for n in alg.variables(e)}
+        tree = compile_joint(exprs, dists, B)
+        assert [dict(alg.occurrences(e)) for e in exprs] == before
+        got = distribution(tree, B)
+        acc = {}
+        for nu in all_valuations(dists):
+            key = tuple(e.eval(nu, B) for e in exprs)
+            acc[key] = acc.get(key, 0.0) + 0.5 ** len(dists)
+        assert set(got.support) == set(acc)
+        for key, mass in acc.items():
+            assert got[key] == pytest.approx(mass, abs=1e-12)
+        assert dtree.node_count(tree) == 34
+
+
 class TestValidator:
     def test_rejects_shared_variables_in_binary_node(self):
         x = VarLeaf("x", coin())
