@@ -13,6 +13,13 @@ semiring's operations, monoid sums fold with the monoid's operation, and
 a conditional ``[a theta b]`` yields the semiring's 1 when the comparison
 holds and its 0 otherwise.
 
+Expressions are hash-consed: every constructor returns the one live
+node built from equal arguments, so structurally equal expressions (up
+to the order of the operands of ``+``, ``*`` and monoid sums) are one
+object, compared and hashed by identity.  A weak unique table finds
+them, and each node carries its variable set as an int bitmask over a
+process-wide variable index (see the section on expression trees).
+
 Values are plain Python ints.  The Boolean semiring uses 0 for false and
 1 for true, which makes the set semantics a special case of the bag
 semantics.  Monoid carriers are non-negative 64-bit integers extended
@@ -24,6 +31,8 @@ of wrapping.
 from __future__ import annotations
 
 import enum
+import itertools
+import weakref
 from collections import Counter
 
 from .errors import (
@@ -117,6 +126,10 @@ class MonoidKind(enum.Enum):
     COUNT = "count"
     PROD = "prod"
 
+    # Members are singletons; hashing by identity keeps them cheap in the
+    # intern keys of monoid nodes.
+    __hash__ = object.__hash__
+
     @property
     def neutral(self):
         return _NEUTRAL[self]
@@ -187,50 +200,106 @@ def compare(a, b, theta):
 # ---------------------------------------------------------------------------
 
 
+# Every node is interned (hash-consed, after Filliâtre and Conchon,
+# "Type-safe modular hash-consing", 2006): each constructor looks its
+# arguments up in one unique table first and returns the live node
+# already built from them, if there is one.  The table is keyed on the
+# node's class, its payload and its children's uids, sorted for the
+# commutative + and * and for monoid sums; a uid is a creation counter.
+# The table holds its nodes weakly, so it never keeps an expression alive.
+#
+# A variable takes a bit in a process-wide index while its Var node
+# lives and gives it back when the node dies, so every node carries its
+# variable set as an int bitmask (``mask``), and no index grows past the
+# variables alive at one time.
+
+#: Unique table: intern key -> weak reference to the live node.
+_TABLE = {}
+#: Calling it returns None, as calling a dead reference does.
+_MISSING = type(None)
+_UIDS = itertools.count()
+#: Variable names by bit; a free bit holds None and waits in _FREE_BITS.
+_VAR_NAMES = []
+_FREE_BITS = []
+
+
+def _new(cls, key, mask):
+    """A fresh node of ``cls``, entered in the unique table."""
+    node = object.__new__(cls)
+    node.uid = next(_UIDS)
+    node.mask = mask
+    node._occ = None
+    node._ikey = key
+    _TABLE[key] = weakref.ref(node)
+    return node
+
+
+def _union(nodes):
+    mask = 0
+    for n in nodes:
+        mask |= n.mask
+    return mask
+
+
+def _names(mask):
+    """The variable names of the set bits of a mask."""
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(_VAR_NAMES[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(names)
+
+
 class _Node:
-    """Shared lazy caches; expressions are immutable, so variable sets,
-    occurrence counts and structural keys are computed at most once per
-    node and untouched subtrees can be shared across rewrites."""
+    """An interned expression node.
 
-    __slots__ = ("_vars", "_occ", "_key")
+    Structurally equal expressions, up to the order of the operands of
+    + and * and of monoid sums, are one object, so equality is identity
+    and ``key()`` is the node's uid.  ``mask`` is the node's variable set
+    as a bitmask; occurrence counts are merged from the children's once,
+    when first asked for.  Nodes are immutable, so untouched subtrees are
+    shared across rewrites.
+    """
 
-    def _compute_key(self):
-        raise NotImplementedError
+    __slots__ = ("uid", "mask", "_occ", "_ikey", "__weakref__")
 
-    def _compute_vars(self):
-        raise NotImplementedError
-
-    def _compute_occ(self):
-        raise NotImplementedError
+    def children(self):
+        return ()
 
     def key(self):
-        """Order-normalised structural key; equal keys mean equal ASTs
-        up to commutativity of + and *."""
-        try:
-            return self._key
-        except AttributeError:
-            self._key = self._compute_key()
-            return self._key
+        """The node's uid: equal keys mean equal expressions up to
+        commutativity of + and *."""
+        return self.uid
 
     def vars(self):
-        try:
-            return self._vars
-        except AttributeError:
-            self._vars = self._compute_vars()
-            return self._vars
+        """The set of variable names occurring in the expression."""
+        return _names(self.mask)
 
     def occ(self):
-        try:
-            return self._occ
-        except AttributeError:
-            self._occ = self._compute_occ()
-            return self._occ
+        """Occurrence counts of variables by name, counting every
+        position.  The mapping is shared with the node: do not change it."""
+        occ = self._occ
+        if occ is None:
+            occ = {}
+            mask = 0
+            for child in self.children():
+                if not child.mask & mask:
+                    occ.update(child.occ())
+                else:
+                    for name, n in child.occ().items():
+                        occ[name] = occ.get(name, 0) + n
+                mask |= child.mask
+            self._occ = occ
+        return occ
 
-    def __eq__(self, other):
-        return isinstance(other, (Expr, MExpr)) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    def __del__(self, _table=_TABLE):
+        # Drop the table entry unless a live node has taken the key over.
+        ref = _table.get(self._ikey)
+        if ref is not None:
+            live = ref()
+            if live is None or live is self:
+                del _table[self._ikey]
 
     def __repr__(self):
         from .exprtext import format_expr
@@ -250,8 +319,26 @@ class Expr(_Node):
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        self.name = name
+    def __new__(cls, name):
+        key = (cls, name)
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            if _FREE_BITS:
+                bit = _FREE_BITS.pop()
+                _VAR_NAMES[bit] = name
+            else:
+                bit = len(_VAR_NAMES)
+                _VAR_NAMES.append(name)
+            node = _new(cls, key, 1 << bit)
+            node.name = name
+            node._occ = {name: 1}
+        return node
+
+    def __del__(self, _names=_VAR_NAMES, _free=_FREE_BITS, _forget=_Node.__del__):
+        bit = self.mask.bit_length() - 1
+        _names[bit] = None
+        _free.append(bit)
+        _forget(self)
 
     def eval(self, nu, sk):
         try:
@@ -259,54 +346,20 @@ class Var(Expr):
         except KeyError:
             raise UnboundVariable("variable %s is not bound" % self.name) from None
 
-    def _compute_key(self):
-        return ("v", self.name)
-
-    def _compute_vars(self):
-        return frozenset((self.name,))
-
-    def _compute_occ(self):
-        return Counter((self.name,))
-
-
-_EMPTY_VARS = frozenset()
-_EMPTY_OCC = Counter()
-
 
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        self.value = value
+    def __new__(cls, value):
+        key = (cls, value)
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            node = _new(cls, key, 0)
+            node.value = value
+        return node
 
     def eval(self, nu, sk):
         return sk.check_constant(self.value)
-
-    def _compute_key(self):
-        return ("k", self.value)
-
-    def _compute_vars(self):
-        return _EMPTY_VARS
-
-    def _compute_occ(self):
-        return _EMPTY_OCC
-
-
-def _merge_vars(parts):
-    out = None
-    for p in parts:
-        v = p.vars()
-        if not v:
-            continue
-        out = v if out is None else out | v
-    return out if out is not None else _EMPTY_VARS
-
-
-def _merge_occ(parts):
-    out = Counter()
-    for p in parts:
-        out.update(p.occ())
-    return out
 
 
 class Add(Expr):
@@ -314,8 +367,17 @@ class Add(Expr):
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts):
-        self.parts = tuple(parts)
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        key = (cls, *sorted([p.uid for p in parts]))
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            node = _new(cls, key, _union(parts))
+            node.parts = parts
+        return node
+
+    def children(self):
+        return self.parts
 
     def eval(self, nu, sk):
         acc = self.parts[0].eval(nu, sk)
@@ -323,38 +385,29 @@ class Add(Expr):
             acc = sk.add(acc, p.eval(nu, sk))
         return acc
 
-    def _compute_key(self):
-        return ("+",) + tuple(sorted(p.key() for p in self.parts))
-
-    def _compute_vars(self):
-        return _merge_vars(self.parts)
-
-    def _compute_occ(self):
-        return _merge_occ(self.parts)
-
 
 class Mul(Expr):
     """N-ary semiring product; always has at least two parts."""
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts):
-        self.parts = tuple(parts)
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        key = (cls, *sorted([p.uid for p in parts]))
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            node = _new(cls, key, _union(parts))
+            node.parts = parts
+        return node
+
+    def children(self):
+        return self.parts
 
     def eval(self, nu, sk):
         acc = self.parts[0].eval(nu, sk)
         for p in self.parts[1:]:
             acc = sk.mul(acc, p.eval(nu, sk))
         return acc
-
-    def _compute_key(self):
-        return ("*",) + tuple(sorted(p.key() for p in self.parts))
-
-    def _compute_vars(self):
-        return _merge_vars(self.parts)
-
-    def _compute_occ(self):
-        return _merge_occ(self.parts)
 
 
 class Cmp(Expr):
@@ -368,29 +421,27 @@ class Cmp(Expr):
 
     __slots__ = ("theta", "left", "right")
 
-    def __init__(self, left, theta, right):
-        if theta not in THETAS:
-            raise ValueError("unknown comparison operator %r" % theta)
-        lm, rm = isinstance(left, MExpr), isinstance(right, MExpr)
-        if lm != rm:
-            raise CarrierMismatch("conditional sides must be of the same sort")
-        self.left = left
-        self.theta = theta
-        self.right = right
+    def __new__(cls, left, theta, right):
+        key = (cls, theta, left.uid, right.uid)
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            if theta not in THETAS:
+                raise ValueError("unknown comparison operator %r" % theta)
+            if isinstance(left, MExpr) != isinstance(right, MExpr):
+                raise CarrierMismatch("conditional sides must be of the same sort")
+            node = _new(cls, key, left.mask | right.mask)
+            node.left = left
+            node.theta = theta
+            node.right = right
+        return node
+
+    def children(self):
+        return (self.left, self.right)
 
     def eval(self, nu, sk):
         a = self.left.eval(nu, sk)
         b = self.right.eval(nu, sk)
         return 1 if compare(a, b, self.theta) else 0
-
-    def _compute_key(self):
-        return ("c", self.theta, self.left.key(), self.right.key())
-
-    def _compute_vars(self):
-        return _merge_vars((self.left, self.right))
-
-    def _compute_occ(self):
-        return _merge_occ((self.left, self.right))
 
 
 class MExpr(_Node):
@@ -405,26 +456,27 @@ class MExpr(_Node):
 
 
 class MConst(MExpr):
+    """A monoid constant.
+
+    A bare monoid constant is just an extended natural; its kind only
+    matters once it joins a sum, so compilation gives it the leaf of
+    the like-valued semiring constant (:func:`pvcdb.dtree.compile`).
+    """
+
     __slots__ = ("kind", "value")
 
-    def __init__(self, kind, value):
-        self.kind = kind
-        self.value = kind.check_value(value)
+    def __new__(cls, kind, value):
+        key = (cls, kind, value)
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            kind.check_value(value)
+            node = _new(cls, key, 0)
+            node.kind = kind
+            node.value = value
+        return node
 
     def eval(self, nu, sk):
         return self.value
-
-    def _compute_key(self):
-        # A bare monoid constant is just an extended natural; its kind
-        # only matters once it joins a sum, so it compares equal to the
-        # like-valued semiring constant.
-        return ("k", self.value)
-
-    def _compute_vars(self):
-        return _EMPTY_VARS
-
-    def _compute_occ(self):
-        return _EMPTY_OCC
 
 
 class Scaled(MExpr):
@@ -432,22 +484,22 @@ class Scaled(MExpr):
 
     __slots__ = ("kind", "weight", "value")
 
-    def __init__(self, kind, weight, value):
-        self.kind = kind
-        self.weight = weight
-        self.value = kind.check_value(value)
+    def __new__(cls, kind, weight, value):
+        key = (cls, kind, weight.uid, value)
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            kind.check_value(value)
+            node = _new(cls, key, weight.mask)
+            node.kind = kind
+            node.weight = weight
+            node.value = value
+        return node
+
+    def children(self):
+        return (self.weight,)
 
     def eval(self, nu, sk):
         return scale(self.weight.eval(nu, sk), self.value, self.kind)
-
-    def _compute_key(self):
-        return ("s", self.kind.value, self.weight.key(), self.value)
-
-    def _compute_vars(self):
-        return self.weight.vars()
-
-    def _compute_occ(self):
-        return self.weight.occ()
 
 
 class MSum(MExpr):
@@ -458,29 +510,29 @@ class MSum(MExpr):
 
     __slots__ = ("kind", "terms")
 
-    def __init__(self, kind, terms):
-        self.kind = kind
-        self.terms = tuple(terms)
-        for t in self.terms:
-            if t.kind is not kind:
-                raise CarrierMismatch(
-                    "summand over %s inside a %s sum" % (t.kind.name, kind.name)
-                )
+    def __new__(cls, kind, terms):
+        terms = tuple(terms)
+        key = (cls, kind, *sorted([t.uid for t in terms]))
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            for t in terms:
+                if t.kind is not kind:
+                    raise CarrierMismatch(
+                        "summand over %s inside a %s sum" % (t.kind.name, kind.name)
+                    )
+            node = _new(cls, key, _union(terms))
+            node.kind = kind
+            node.terms = terms
+        return node
+
+    def children(self):
+        return self.terms
 
     def eval(self, nu, sk):
         acc = self.kind.neutral
         for t in self.terms:
             acc = self.kind.plus(acc, t.eval(nu, sk))
         return acc
-
-    def _compute_key(self):
-        return ("S", self.kind.value) + tuple(sorted(t.key() for t in self.terms))
-
-    def _compute_vars(self):
-        return _merge_vars(self.terms)
-
-    def _compute_occ(self):
-        return _merge_occ(self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -655,34 +707,52 @@ def variables(expr):
 
 def occurrences(expr):
     """Occurrence counts of variables, counting every position."""
-    return expr.occ()
+    return Counter(expr.occ())
 
 
-def substitute(expr, name, value):
+def substitute(expr, name, value, done=None):
     """Replace every occurrence of a variable by a semiring constant.
 
     The result is simplified through the smart constructors, so dead
     branches (products annihilated by 0, scaled terms that can no longer
     fire, comparisons the remaining values already decide) disappear.
-    Subtrees not containing the variable are shared, not copied.
+    Subtrees not containing the variable are returned as they are.
+    ``done`` maps sub-expressions to their results under this one
+    binding; a caller that substitutes the same binding into many
+    expressions passes the same dict each time, so shared subtrees are
+    rewritten once.
     """
-    if name not in expr.vars():
+    var = _TABLE.get((Var, name), _MISSING)()
+    if var is None or not expr.mask & var.mask:
         return expr
-    if isinstance(expr, Var):
-        return Const(value)
-    if isinstance(expr, Add):
-        return make_sum([substitute(p, name, value) for p in expr.parts])
-    if isinstance(expr, Mul):
-        return make_product([substitute(p, name, value) for p in expr.parts])
-    if isinstance(expr, Cmp):
-        left = substitute(expr.left, name, value)
-        right = substitute(expr.right, name, value)
-        return make_cmp(left, expr.theta, right)
-    if isinstance(expr, Scaled):
-        return make_scaled(expr.kind, substitute(expr.weight, name, value), expr.value)
-    if isinstance(expr, MSum):
-        return make_msum(expr.kind, [substitute(t, name, value) for t in expr.terms])
-    raise TypeError("not an expression: %r" % (expr,))
+    return _substitute(expr, var.mask, Const(value), {} if done is None else done)
+
+
+def _substitute(expr, bit, const, done):
+    if not expr.mask & bit:
+        return expr
+    t = type(expr)
+    if t is Var:
+        return const
+    out = done.get(expr)
+    if out is not None:
+        return out
+    if t is Add:
+        out = make_sum([_substitute(p, bit, const, done) for p in expr.parts])
+    elif t is Mul:
+        out = make_product([_substitute(p, bit, const, done) for p in expr.parts])
+    elif t is Cmp:
+        left = _substitute(expr.left, bit, const, done)
+        right = _substitute(expr.right, bit, const, done)
+        out = make_cmp(left, expr.theta, right)
+    elif t is Scaled:
+        out = make_scaled(expr.kind, _substitute(expr.weight, bit, const, done), expr.value)
+    elif t is MSum:
+        out = make_msum(expr.kind, [_substitute(m, bit, const, done) for m in expr.terms])
+    else:
+        raise TypeError("not an expression: %r" % (expr,))
+    done[expr] = out
+    return out
 
 
 def eval_semiring(expr, nu, sk):

@@ -24,6 +24,7 @@ constants in predicates are single-quoted.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import pathlib
 import random
@@ -761,10 +762,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process: building it
+    takes milliseconds, which in-process callers would otherwise pay on
+    every call."""
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
     except PvcError as exc:

@@ -20,7 +20,11 @@ components of their factors, and a sum of products is factored by the
 common factors of all its summands.  This recognises read-once
 expressions, such as the annotations of hierarchical queries, without
 any mutex node; everything else falls back to mutex expansion, which is
-always applicable but can be exponential.
+always applicable but can be exponential.  Expressions are interned
+(:mod:`pvcdb.algebra`), so the compile memo, the matching of common
+factors and the substitutions made under one binding are all keyed on
+node identity, and independence is tested by intersecting the variable
+bitmasks of the parts.
 
 Sum and product nodes are n-ary: one split yields every connected
 component, so an aggregate over n independent tuples is one node with n
@@ -321,52 +325,53 @@ def mutex_count(d):
 
 
 def connected_groups(keyed, pool_keyless=False):
-    """Group items that share a key, directly or through other items.
+    """Group items whose keys overlap, directly or through other items.
 
-    ``keyed`` is a sequence of (item, keys) pairs.  Groups are lists of
-    items, in first-occurrence order.  Items without keys each form a
-    group of their own, or with ``pool_keyless`` one group, placed last.
+    ``keyed`` is a sequence of (item, mask) pairs, where the set bits of
+    the int ``mask`` are the item's keys.  Groups are lists of items, in
+    first-occurrence order.  Items without keys each form a group of
+    their own, or with ``pool_keyless`` one group, placed last.
     """
-    seen = set()
-    for _, keys in keyed:
-        if not seen.isdisjoint(keys):
-            break
-        seen.update(keys)
-    else:
-        # No key is shared: every item with keys is a group of its own.
-        groups = [[item] for item, keys in keyed if keys or not pool_keyless]
-        pooled = [item for item, keys in keyed if pool_keyless and not keys]
-        return groups + [pooled] if pooled else groups
-    parent = list(range(len(keyed)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner = {}
-    for i, (_, keys) in enumerate(keyed):
-        for k in keys:
-            ra, rb = find(owner.setdefault(k, i)), find(i)
-            if ra != rb:
-                parent[rb] = ra
-    groups, pooled = {}, []
-    for i, (item, keys) in enumerate(keyed):
-        if pool_keyless and not keys:
-            pooled.append(item)
-        else:
-            groups.setdefault(find(i), []).append(item)
-    out = list(groups.values())
+    groups = {}  # first index -> [mask, indices]; groups are disjoint
+    pooled = []
+    seen = 0
+    for i, (_, mask) in enumerate(keyed):
+        shared = mask & seen
+        seen |= mask
+        if not shared:
+            if mask or not pool_keyless:
+                groups[i] = [mask, [i]]
+            else:
+                pooled.append(i)
+            continue
+        # Merge every group that holds a shared key, newest first, until
+        # all shared keys are found.
+        hits = []
+        for g in reversed(groups.values()):
+            if g[0] & shared:
+                hits.append(g)
+                shared ^= shared & g[0]
+                if not shared:
+                    break
+        into = hits.pop()
+        for g in hits:
+            del groups[g[1][0]]
+            into[0] |= g[0]
+            into[1] += g[1]
+        into[0] |= mask
+        into[1].append(i)
+    if len(groups) == 1 and not pooled:
+        return [[item for item, _ in keyed]]
+    out = [[keyed[j][0] for j in sorted(g[1])] for g in groups.values()]
     if pooled:
-        out.append(pooled)
+        out.append([keyed[j][0] for j in pooled])
     return out
 
 
 def _components(items):
     """Items grouped by overlap of their variable sets; variable-free
     items pool into one group."""
-    return connected_groups([(item, alg.variables(item)) for item in items], pool_keyless=True)
+    return connected_groups([(item, item.mask) for item in items], pool_keyless=True)
 
 
 def split_sum(expr):
@@ -382,35 +387,22 @@ def split_sum(expr):
 
 
 def _common_factors(factor_lists):
-    """Multiset intersection of factor lists, matched structurally."""
-    common = {}
-    for f in factor_lists[0]:
-        common.setdefault(f.key(), []).append(f)
+    """Multiset intersection of factor lists; interned factors match by
+    identity."""
+    common = Counter(factor_lists[0])
     for factors in factor_lists[1:]:
-        counts = {}
-        for f in factors:
-            counts[f.key()] = counts.get(f.key(), 0) + 1
-        for k in list(common):
-            keep = min(len(common[k]), counts.get(k, 0))
-            if keep == 0:
-                del common[k]
-            else:
-                common[k] = common[k][:keep]
-    out = []
-    for fs in common.values():
-        out.extend(fs)
-    return out
+        common &= Counter(factors)
+        if not common:
+            return []
+    return list(common.elements())
 
 
 def _remove_factors(factors, removed):
-    budget = {}
-    for f in removed:
-        budget[f.key()] = budget.get(f.key(), 0) + 1
+    budget = Counter(removed)
     kept = []
     for f in factors:
-        k = f.key()
-        if budget.get(k, 0) > 0:
-            budget[k] -= 1
+        if budget[f]:
+            budget[f] -= 1
         else:
             kept.append(f)
     return kept
@@ -438,7 +430,7 @@ def split_product(expr):
         rest = alg.make_sum(
             [alg.make_product(_remove_factors(fl, common)) for fl in factor_lists]
         )
-        if alg.variables(psi) & alg.variables(rest):
+        if psi.mask & rest.mask:
             return None
         return [psi, rest]
     return None
@@ -450,21 +442,26 @@ def split_scale(expr):
         # The whole condition, less its constant factors, which stay
         # with the value.
         factors = alg.product_factors(expr.weight)
-        consts = [f for f in factors if not alg.variables(f)]
+        consts = [f for f in factors if not f.mask]
         if len(consts) == len(factors):
             return None
         if not consts:
             return expr.weight, MConst(expr.kind, alg.scale(1, expr.value, expr.kind))
-        psi = alg.make_product([f for f in factors if alg.variables(f)])
+        psi = alg.make_product([f for f in factors if f.mask])
         return psi, alg.make_scaled(expr.kind, alg.make_product(consts), expr.value)
     if not isinstance(expr, MSum):
         return None
     terms = alg.sum_parts(expr)
-    if any(not isinstance(t, Scaled) for t in terms):
+    shared = -1
+    for t in terms:
+        if type(t) is not Scaled:
+            return None
+        shared &= t.mask
+    if not shared:  # no variable is in every term, so no factor is
         return None
     kind = expr.kind
     factor_lists = [alg.product_factors(t.weight) for t in terms]
-    common = [f for f in _common_factors(factor_lists) if alg.variables(f)]
+    common = [f for f in _common_factors(factor_lists) if f.mask]
     if not common:
         return None
     psi = alg.make_product(common)
@@ -475,7 +472,7 @@ def split_scale(expr):
             for fl, t in zip(factor_lists, terms)
         ],
     )
-    if alg.variables(psi) & alg.variables(rest):
+    if psi.mask & rest.mask:
         return None
     return psi, rest
 
@@ -483,7 +480,7 @@ def split_scale(expr):
 def split_compare(expr):
     if not isinstance(expr, Cmp):
         return None
-    if alg.variables(expr.left) & alg.variables(expr.right):
+    if expr.left.mask & expr.right.mask:
         return None
     return expr.left, expr.right
 
@@ -496,7 +493,7 @@ def choose_branch_variable(expr):
     the variable with most occurrences in the expression as written; ties
     break towards the lexicographically smallest name.
     """
-    counts = alg.occurrences(expr)
+    counts = expr.occ()
     if not counts:
         raise NoVariables("expression has no variables")
     unit = _unit_variable(expr, counts)
@@ -544,6 +541,8 @@ class _Compiler:
         self.sk = sk
         self.remaining = node_budget
         self.memo = {}
+        # (variable, value) -> the substitutions made under that binding
+        self.substitutions = {}
 
     def charge(self):
         if self.remaining is not None:
@@ -557,11 +556,18 @@ class _Compiler:
         except KeyError:
             raise MissingDistribution("no distribution for variable %s" % name) from None
 
+    def substitute(self, expr, x, value):
+        done = self.substitutions.setdefault((x, value), {})
+        return alg.substitute(expr, x, value, done)
+
     def compile(self, expr):
         # Equal sub-expressions recur across mutex branches; compiling
         # each once turns the tree into a DAG without changing any
-        # distribution.
-        key = expr.key()
+        # distribution.  Expressions are interned, so the memo is keyed
+        # on identity; a semiring and a monoid constant of one value
+        # share a leaf.
+        t = type(expr)
+        key = ("k", expr.value) if t is Const or t is MConst else expr
         hit = self.memo.get(key)
         if hit is not None:
             hit.shared = True
@@ -577,7 +583,7 @@ class _Compiler:
         return node
 
     def _compile_semiring(self, expr):
-        if not alg.variables(expr):
+        if not expr.mask:
             return ConstLeaf(alg.eval_semiring(expr, {}, self.sk))
         if isinstance(expr, Var):
             return VarLeaf(expr.name, self.dist_of(expr.name))
@@ -594,7 +600,7 @@ class _Compiler:
         return self._mutex(expr)
 
     def _compile_semimodule(self, expr):
-        if not alg.variables(expr):
+        if not expr.mask:
             return MonoidLeaf(alg.eval_semimodule(expr, {}, self.sk))
         parts = split_sum(expr)
         if parts is not None:
@@ -609,7 +615,7 @@ class _Compiler:
         dist = self.dist_of(x)
         branches = []
         for value, p in dist.entries:
-            child = self.compile(alg.substitute(expr, x, value))
+            child = self.compile(self.substitute(expr, x, value))
             branches.append((value, p, child))
         return MutexNode(x, branches)
 
@@ -1141,16 +1147,16 @@ def _compile_joint(compiler, indexed):
     if len(indexed) == 1:
         idx, expr = indexed[0]
         return JointScalar(idx, compiler.compile(expr))
-    groups = connected_groups([(item, alg.variables(item[1])) for item in indexed])
+    groups = connected_groups([(item, item[1].mask) for item in indexed])
     if len(groups) > 1:
         return JointProduct([_compile_joint(compiler, g) for g in groups])
     counts = Counter()
     for _, expr in indexed:
-        counts.update(alg.occurrences(expr))
+        counts.update(expr.occ())
     x = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
     dist = compiler.dist_of(x)
     branches = []
     for value, p in dist.entries:
-        substituted = [(i, alg.substitute(e, x, value)) for i, e in indexed]
+        substituted = [(i, compiler.substitute(e, x, value)) for i, e in indexed]
         branches.append((value, p, _compile_joint(compiler, substituted)))
     return MutexNode(x, branches, indices=tuple(sorted(i for i, _ in indexed)))

@@ -493,12 +493,6 @@ class AnswerRow:
     joint: Distribution | None
 
 
-def _row_identity(values):
-    return tuple(
-        v.key() if isinstance(v, (Expr, MExpr)) else ("lit", v) for v in values
-    )
-
-
 def answer_distributions(plan, db, node_budget=None, want_joint=True):
     """Evaluate a query and compute each result tuple's distributions.
 
@@ -514,16 +508,7 @@ def answer_distributions(plan, db, node_budget=None, want_joint=True):
 
     table = evaluate(plan, db)
     agg_positions = [i for i, role in enumerate(table.roles) if role == AGG]
-    merged = {}
-    order = []
-    for values, phi in table.rows:
-        key = _row_identity(values)
-        if key in merged:
-            merged[key] = (values, alg.make_sum([merged[key][1], phi]))
-        else:
-            merged[key] = (values, phi)
-            order.append(key)
-    table.rows = [merged[key] for key in order]
+    table.rows = _merge_duplicates(table.rows)
     answers = []
     for values, phi in table.rows:
         pruned = dtree.prune_all(phi, db.sk, db.var_dists)

@@ -22,7 +22,9 @@ their aggregation monoid as a brace tag, ``min{a(x)5 + b(x)10}``; for
 convenience an untagged scaled sum may instead take the tag as a suffix,
 ``[ a(x)5 + b(x)10 <= 15 ] min``.  A bare numeral opposite a semimodule
 side of a conditional is read as a monoid constant.  The printer always
-emits the braced form, and printing then parsing is the identity.
+emits the braced form, and writes a monoid constant bare only opposite
+a monoid sum of its own kind, so printing then parsing returns the very
+node printed (expressions are interned).
 """
 
 from __future__ import annotations
@@ -304,8 +306,14 @@ def _format_mterm(term):
     return "%s(x)%s" % (weight, _format_mval(term.value))
 
 
-def _format_side(expr):
-    if isinstance(expr, alg.MConst):
+def _format_side(expr, other):
+    # A bare value opposite a monoid sum of its own kind reads back as
+    # this monoid constant; anywhere else it would read as another node.
+    if (
+        isinstance(expr, alg.MConst)
+        and not isinstance(other, alg.MConst)
+        and other.kind is expr.kind
+    ):
         return _format_mval(expr.value)
     return format_expr(expr)
 
@@ -322,9 +330,9 @@ def format_expr(expr):
         return "*".join(_format_factor(p) for p in expr.parts)
     if isinstance(expr, alg.Cmp):
         return "[%s %s %s]" % (
-            _format_side(expr.left),
+            _format_side(expr.left, expr.right),
             expr.theta,
-            _format_side(expr.right),
+            _format_side(expr.right, expr.left),
         )
     if isinstance(expr, alg.MConst):
         return "%s{%s}" % (expr.kind.value, _format_mval(expr.value))

@@ -450,3 +450,125 @@ class TestMakeScaled:
         assert alg.substitute(sum_term, "x", 1) == Scaled(
             MonoidKind.SUM, Add([Const(1), Var("y")]), 2
         )
+
+
+class TestHashConsing:
+    """Every constructor returns the one live node built from equal
+    arguments, so structural equality is identity."""
+
+    def test_commuted_sums_and_products_are_one_node(self):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        assert alg.make_sum([a, b]) is alg.make_sum([b, a])
+        assert Add([a, b]) is alg.make_sum([b, a])
+        nested = alg.make_product([a, alg.make_product([c, b])])
+        assert nested is alg.make_product([b, a, c])
+        assert nested is Mul([c, a, b])
+        assert alg.make_msum(MonoidKind.MIN, [Scaled(MonoidKind.MIN, a, 3), MConst(MonoidKind.MIN, 7)]) is (
+            MSum(MonoidKind.MIN, [MConst(MonoidKind.MIN, 7), Scaled(MonoidKind.MIN, a, 3)])
+        )
+        assert alg.make_sum([a, b]).key() == alg.make_sum([b, a]).key()
+        assert alg.make_sum([a, b]) is not alg.make_product([a, b])
+        assert Cmp(a, "<=", b) is not Cmp(b, "<=", a)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1*y11*(z1 + z5)",
+            "[min{x(x)5 + y(x)10} <= 15]",
+            "[max{a*b(x)10 + 4} >= min{c(x)2}]*[d != 0]",
+            "sum{z1(x)4 + z2(x)8 + 3}",
+            "count{2*a(x)1}",
+        ],
+    )
+    def test_parse_of_print_is_the_same_node(self, text):
+        from pvcdb.exprtext import format_expr
+
+        e = parse_expr(text)
+        assert parse_expr(format_expr(e)) is e
+
+    def test_constant_comparisons_print_their_monoid(self):
+        from pvcdb.exprtext import format_expr
+
+        for left, right in [
+            (MConst(MonoidKind.MIN, 0), MConst(MonoidKind.MIN, 1)),
+            (parse_expr("min{a(x)3}"), MConst(MonoidKind.MAX, 1)),
+        ]:
+            e = Cmp(left, "=", right)
+            assert parse_expr(format_expr(e)) is e
+
+    def test_substitute_interns_and_keeps_untouched_subtrees(self):
+        e = parse_expr("x*y + z*w + [min{x(x)7 + u(x)2} >= 5]")
+        zw = parse_expr("z*w")
+        out = alg.substitute(e, "x", 1)
+        assert out is parse_expr("y + z*w + [min{u(x)2 + 7} >= 5]")
+        assert any(p is zw for p in out.parts)
+        assert alg.substitute(e, "q", 1) is e
+        assert alg.substitute(zw, "x", 0) is zw
+
+    def test_dead_expressions_leave_the_table(self):
+        import gc
+
+        gc.collect()
+        size = len(alg._TABLE)
+        keep = [
+            alg.make_product([Var("t%d" % i), Var("u%d" % (i % 7))]) for i in range(5000)
+        ]
+        assert len(alg._TABLE) >= size + 10000
+        peak = len(alg._VAR_NAMES)
+        del keep
+        gc.collect()
+        assert len(alg._TABLE) == size
+        # Bits of dead variables are reused, so the index does not grow.
+        again = [Var("w%d" % i) for i in range(100)]
+        assert len(alg._VAR_NAMES) == peak
+        assert alg.variables(alg.make_sum(again)) == {"w%d" % i for i in range(100)}
+
+    def test_occurrences_are_a_copy(self):
+        e = parse_expr("x*y + x")
+        counts = alg.occurrences(e)
+        counts["x"] += 10
+        assert alg.occurrences(e) == {"x": 2, "y": 1}
+
+    def test_constants_of_either_sort_share_one_compiled_leaf(self):
+        # A monoid constant and the like-valued semiring constant are
+        # different nodes (a comparison needs its sides' sort), but both
+        # are just the value 1 to the compiler, which gives them one leaf.
+        from pvcdb import dtree
+
+        assert MConst(MonoidKind.MIN, 1) is not Const(1)
+        assert MConst(MonoidKind.MIN, 1) is not MConst(MonoidKind.MAX, 1)
+        tree = dtree.compile_joint([Const(1), MConst(MonoidKind.MIN, 1)], {})
+        first, second = tree.parts
+        assert first.inner is second.inner
+        assert dtree.node_count(tree) == 4
+
+    def test_compilation_does_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        import pathlib
+
+        import pvcdb
+
+        script = (
+            "from pvcdb import cli, dtree\n"
+            "p = cli.GenParams(terms_left=30, clauses=3, literals=3, num_vars=25,"
+            " maxv=100, c=40, seed=11)\n"
+            "e, d = cli.gen_expression(p), cli.gen_var_dists(p, 0.5)\n"
+            "t = dtree.compile(dtree.prune_all(e, var_dists=d), d)\n"
+            "print(dtree.node_count(t), dtree.mutex_count(t), dtree.distribution(t).entries)\n"
+        )
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=str(pathlib.Path(pvcdb.__file__).parents[1]),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert int(outs[0].split()[1]) > 0

@@ -494,6 +494,54 @@ class TestSubcommands:
         assert proc.stdout.startswith("usage: pvcdb")
 
 
+class TestParserReuse:
+    """``main`` builds its argument parser once per process; successive
+    calls must not see each other's subcommands, flags or defaults."""
+
+    TABLES = [str(SHOPS / n) for n in ("S.tsv", "PS.tsv", "P1.tsv", "P2.tsv")]
+
+    def _argvs(self, tmp_path):
+        probs = tmp_path / "p.tsv"
+        probs.write_text("x\t0\t0.4\nx\t1\t0.6\ny\t0\t0.3\ny\t1\t0.7\n")
+        query = ["query", "--tables", *self.TABLES, "--probs", str(SHOPS / "probs.tsv"),
+                 "--query", "agg[; low<-min(weight)](P1)"]
+        return [
+            query + ["--joint"],
+            query,
+            ["prob", "--expr", "[min{x(x)5 + y(x)9} <= 6]", "--probs", str(probs)],
+            query + ["--joint", "--semiring", "nat"],
+        ]
+
+    def test_successive_calls_print_what_fresh_processes_print(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pvcdb.__file__).parents[1]))
+        argvs = self._argvs(tmp_path)
+        in_process = [run_cli(*argv) for argv in argvs]
+        for argv, (code, out) in zip(argvs, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "pvcdb", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert "# joint" in in_process[0][1]
+        assert "# joint" not in in_process[1][1]
+
+    def test_usage_error_still_exits_2(self, tmp_path, capsys):
+        run_cli(*self._argvs(tmp_path)[0])
+        with pytest.raises(SystemExit) as exc:
+            run_cli("query", "--joint")
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        code, out = run_cli(*self._argvs(tmp_path)[2])
+        assert code == 0 and out
+
+    def test_build_parser_returns_a_working_parser(self):
+        args = cli.build_parser().parse_args(["prob", "--expr", "x", "--probs", "p.tsv"])
+        assert args.command == "prob" and args.expr == "x" and not args.joint
+
+
 class TestNegativeConstants:
     @pytest.fixture
     def db(self, tmp_path):
