@@ -606,23 +606,22 @@ def make_msum(kind, terms):
     neutral = _NEUTRAL[kind]
     const = neutral
     symbolic = []
-    stack = list(reversed(terms))
-    while stack:
-        t = stack.pop()
-        if type(t) is MSum:
-            stack.extend(reversed(t.terms))
-            continue
+    for t in terms:
         if t.kind is not kind:
             raise CarrierMismatch(
                 "summand over %s inside a %s sum" % (t.kind.name, kind.name)
             )
-        if type(t) is MConst:
-            const = kind.plus(const, t.value)
-        elif type(t) is Scaled:
+        tt = type(t)
+        if tt is Scaled:
             if type(t.weight) is Const:
                 const = kind.plus(const, scale(t.weight.value, t.value, kind))
             elif t.value != neutral:
                 symbolic.append(t)
+        elif tt is MConst:
+            const = kind.plus(const, t.value)
+        elif tt is MSum:
+            # Start again on the terms with this sum's terms in its place.
+            return make_msum(kind, [u for p in terms for u in sum_parts(p)])
         else:
             raise CarrierMismatch("monoid sum over non-flat term %r" % (t,))
     if const != neutral:
@@ -729,28 +728,30 @@ def substitute(expr, name, value, done=None):
 
 
 def _substitute(expr, bit, const, done):
-    if not expr.mask & bit:
-        return expr
+    """``expr``, which contains the variable of ``bit``, with ``const``
+    in its place."""
     t = type(expr)
     if t is Var:
         return const
     out = done.get(expr)
     if out is not None:
         return out
-    if t is Add:
-        out = make_sum([_substitute(p, bit, const, done) for p in expr.parts])
-    elif t is Mul:
-        out = make_product([_substitute(p, bit, const, done) for p in expr.parts])
-    elif t is Cmp:
-        left = _substitute(expr.left, bit, const, done)
-        right = _substitute(expr.right, bit, const, done)
-        out = make_cmp(left, expr.theta, right)
-    elif t is Scaled:
+    if t is Scaled:  # the weight holds every variable of the term
         out = make_scaled(expr.kind, _substitute(expr.weight, bit, const, done), expr.value)
-    elif t is MSum:
-        out = make_msum(expr.kind, [_substitute(m, bit, const, done) for m in expr.terms])
     else:
-        raise TypeError("not an expression: %r" % (expr,))
+        parts = [
+            _substitute(p, bit, const, done) if p.mask & bit else p for p in expr.children()
+        ]
+        if t is Add:
+            out = make_sum(parts)
+        elif t is Mul:
+            out = make_product(parts)
+        elif t is MSum:
+            out = make_msum(expr.kind, parts)
+        elif t is Cmp:
+            out = make_cmp(parts[0], expr.theta, parts[1])
+        else:
+            raise TypeError("not an expression: %r" % (expr,))
     done[expr] = out
     return out
 
@@ -771,9 +772,10 @@ def eval_semimodule(expr, nu, sk):
 
 def sum_parts(expr):
     """Top-level summands: Add parts, MSum terms, or the expression itself."""
-    if isinstance(expr, Add):
+    t = type(expr)
+    if t is Add:
         return list(expr.parts)
-    if isinstance(expr, MSum):
+    if t is MSum:
         return list(expr.terms)
     return [expr]
 
