@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import weakref
 from collections import Counter
 
@@ -282,14 +283,9 @@ class _Node:
         occ = self._occ
         if occ is None:
             occ = {}
-            mask = 0
             for child in self.children():
-                if not child.mask & mask:
-                    occ.update(child.occ())
-                else:
-                    for name, n in child.occ().items():
-                        occ[name] = occ.get(name, 0) + n
-                mask |= child.mask
+                for name, n in child.occ().items():
+                    occ[name] = occ.get(name, 0) + n
             self._occ = occ
         return occ
 
@@ -362,8 +358,8 @@ class Const(Expr):
         return sk.check_constant(self.value)
 
 
-class Add(Expr):
-    """N-ary semiring sum; always has at least two parts."""
+class _Nary(Expr):
+    """An n-ary semiring operation; always has at least two parts."""
 
     __slots__ = ("parts",)
 
@@ -380,34 +376,25 @@ class Add(Expr):
         return self.parts
 
     def eval(self, nu, sk):
+        op = self._op(sk)
         acc = self.parts[0].eval(nu, sk)
         for p in self.parts[1:]:
-            acc = sk.add(acc, p.eval(nu, sk))
+            acc = op(acc, p.eval(nu, sk))
         return acc
 
 
-class Mul(Expr):
-    """N-ary semiring product; always has at least two parts."""
+class Add(_Nary):
+    """N-ary semiring sum."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
+    _op = operator.attrgetter("add")
 
-    def __new__(cls, parts):
-        parts = tuple(parts)
-        key = (cls, *sorted([p.uid for p in parts]))
-        node = _TABLE.get(key, _MISSING)()
-        if node is None:
-            node = _new(cls, key, _union(parts))
-            node.parts = parts
-        return node
 
-    def children(self):
-        return self.parts
+class Mul(_Nary):
+    """N-ary semiring product."""
 
-    def eval(self, nu, sk):
-        acc = self.parts[0].eval(nu, sk)
-        for p in self.parts[1:]:
-            acc = sk.mul(acc, p.eval(nu, sk))
-        return acc
+    __slots__ = ()
+    _op = operator.attrgetter("mul")
 
 
 class Cmp(Expr):

@@ -762,12 +762,9 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The command-line parser, built once per process: building it
-    takes milliseconds, which in-process callers would otherwise pay on
-    every call."""
-    return build_parser()
+# Built once per process: building it takes milliseconds, which
+# in-process callers of main would otherwise pay on every call.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None, out=None):

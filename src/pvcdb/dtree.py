@@ -1104,9 +1104,7 @@ def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
     if t is Cmp:
         left = prune_all(expr.left, sk, var_dists)
         right = prune_all(expr.right, sk, var_dists)
-        if left is not expr.left or right is not expr.right:
-            expr = Cmp(left, expr.theta, right)
-        return prune(expr, sk, var_dists)
+        return prune(Cmp(left, expr.theta, right), sk, var_dists)
     if t is Scaled:
         weight = prune_all(expr.weight, sk, var_dists)
         if weight is expr.weight:

@@ -309,11 +309,7 @@ def _format_mterm(term):
 def _format_side(expr, other):
     # A bare value opposite a monoid sum of its own kind reads back as
     # this monoid constant; anywhere else it would read as another node.
-    if (
-        isinstance(expr, alg.MConst)
-        and not isinstance(other, alg.MConst)
-        and other.kind is expr.kind
-    ):
+    if type(expr) is alg.MConst and type(other) is not alg.MConst and other.kind is expr.kind:
         return _format_mval(expr.value)
     return format_expr(expr)
 

@@ -115,13 +115,9 @@ def _closures(block):
     """Equality closure of each child attribute under the block's
     equalities."""
     columns = {attr for cols in block.child_columns for attr in cols}
-    bits = {}
-
-    def mask(attrs):
-        return sum(1 << bits.setdefault(a, len(bits)) for a in set(attrs))
-
-    keyed = [((attr,), mask((attr,))) for attr in columns]
-    keyed += [(eq, mask(eq)) for eq in block.equalities]
+    bit = {attr: 1 << i for i, attr in enumerate(columns.union(*block.equalities))}
+    keyed = [((attr,), bit[attr]) for attr in columns]
+    keyed += [(eq, bit[eq[0]] | bit[eq[1]]) for eq in block.equalities]
     closures = {}
     for group in dtree.connected_groups(keyed):
         cls = {attr for item in group for attr in item if attr in columns}
