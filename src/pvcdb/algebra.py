@@ -206,7 +206,8 @@ def compare(a, b, theta):
 # arguments up in one unique table first and returns the live node
 # already built from them, if there is one.  The table is keyed on the
 # node's class, its payload and its children's uids, sorted for the
-# commutative + and * and for monoid sums; a uid is a creation counter.
+# commutative + and * and for monoid sums (a variable on its name
+# alone); a uid is a creation counter.
 # The table holds its nodes weakly, so it never keeps an expression alive.
 #
 # A variable takes a bit in a process-wide index while its Var node
@@ -219,6 +220,7 @@ _TABLE = {}
 #: Calling it returns None, as calling a dead reference does.
 _MISSING = type(None)
 _UIDS = itertools.count()
+_UID = operator.attrgetter("uid")
 #: Variable names by bit; a free bit holds None and waits in _FREE_BITS.
 _VAR_NAMES = []
 _FREE_BITS = []
@@ -316,8 +318,7 @@ class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name):
-        key = (cls, name)
-        node = _TABLE.get(key, _MISSING)()
+        node = _TABLE.get(name, _MISSING)()
         if node is None:
             if _FREE_BITS:
                 bit = _FREE_BITS.pop()
@@ -325,10 +326,12 @@ class Var(Expr):
             else:
                 bit = len(_VAR_NAMES)
                 _VAR_NAMES.append(name)
-            node = _new(cls, key, 1 << bit)
+            node = _new(cls, name, 1 << bit)
             node.name = name
-            node._occ = {name: 1}
         return node
+
+    def occ(self):
+        return {self.name: 1}
 
     def __del__(self, _names=_VAR_NAMES, _free=_FREE_BITS, _forget=_Node.__del__):
         bit = self.mask.bit_length() - 1
@@ -365,7 +368,7 @@ class _Nary(Expr):
 
     def __new__(cls, parts):
         parts = tuple(parts)
-        key = (cls, *sorted([p.uid for p in parts]))
+        key = (cls, *sorted(map(_UID, parts)))
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             node = _new(cls, key, _union(parts))
@@ -499,7 +502,7 @@ class MSum(MExpr):
 
     def __new__(cls, kind, terms):
         terms = tuple(terms)
-        key = (cls, kind, *sorted([t.uid for t in terms]))
+        key = (cls, kind, *sorted(map(_UID, terms)))
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             for t in terms:
@@ -708,7 +711,7 @@ def substitute(expr, name, value, done=None):
     expressions passes the same dict each time, so shared subtrees are
     rewritten once.
     """
-    var = _TABLE.get((Var, name), _MISSING)()
+    var = _TABLE.get(name, _MISSING)()
     if var is None or not expr.mask & var.mask:
         return expr
     return _substitute(expr, var.mask, Const(value), {} if done is None else done)
