@@ -127,10 +127,6 @@ class MonoidKind(enum.Enum):
     COUNT = "count"
     PROD = "prod"
 
-    # Members are singletons; hashing by identity keeps them cheap in the
-    # intern keys of monoid nodes.
-    __hash__ = object.__hash__
-
     @property
     def neutral(self):
         return _NEUTRAL[self]
@@ -204,11 +200,12 @@ def compare(a, b, theta):
 # Every node is interned (hash-consed, after Filliâtre and Conchon,
 # "Type-safe modular hash-consing", 2006): each constructor looks its
 # arguments up in one unique table first and returns the live node
-# already built from them, if there is one.  The table is keyed on the
-# node's class, its payload and its children's uids, sorted for the
-# commutative + and * and for monoid sums (a variable on its name
-# alone); a uid is a creation counter.
-# The table holds its nodes weakly, so it never keeps an expression alive.
+# already built from them, if there is one.  The table is keyed on a tag
+# for the node's class, its payload and its children's uids, sorted for
+# the commutative + and * and for monoid sums (a variable on its name
+# alone); a uid is a creation counter.  Keys hold only strings and
+# numbers, so the garbage collector does not track them.  The table
+# holds its nodes weakly, so it never keeps an expression alive.
 #
 # A variable takes a bit in a process-wide index while its Var node
 # lives and gives it back when the node dies, so every node carries its
@@ -350,7 +347,7 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        key = (cls, value)
+        key = ("k", value)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             node = _new(cls, key, 0)
@@ -368,7 +365,7 @@ class _Nary(Expr):
 
     def __new__(cls, parts):
         parts = tuple(parts)
-        key = (cls, *sorted(map(_UID, parts)))
+        key = (cls._tag, *sorted(map(_UID, parts)))
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             node = _new(cls, key, _union(parts))
@@ -390,6 +387,7 @@ class Add(_Nary):
     """N-ary semiring sum."""
 
     __slots__ = ()
+    _tag = "+"
     _op = operator.attrgetter("add")
 
 
@@ -397,6 +395,7 @@ class Mul(_Nary):
     """N-ary semiring product."""
 
     __slots__ = ()
+    _tag = "*"
     _op = operator.attrgetter("mul")
 
 
@@ -412,7 +411,7 @@ class Cmp(Expr):
     __slots__ = ("theta", "left", "right")
 
     def __new__(cls, left, theta, right):
-        key = (cls, theta, left.uid, right.uid)
+        key = ("c", theta, left.uid, right.uid)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             if theta not in THETAS:
@@ -456,7 +455,7 @@ class MConst(MExpr):
     __slots__ = ("kind", "value")
 
     def __new__(cls, kind, value):
-        key = (cls, kind, value)
+        key = ("m", kind._value_, value)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             kind.check_value(value)
@@ -475,7 +474,7 @@ class Scaled(MExpr):
     __slots__ = ("kind", "weight", "value")
 
     def __new__(cls, kind, weight, value):
-        key = (cls, kind, weight.uid, value)
+        key = ("s", kind._value_, weight.uid, value)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             kind.check_value(value)
@@ -502,7 +501,7 @@ class MSum(MExpr):
 
     def __new__(cls, kind, terms):
         terms = tuple(terms)
-        key = (cls, kind, *sorted(map(_UID, terms)))
+        key = ("S", kind._value_, *sorted(map(_UID, terms)))
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             for t in terms:
