@@ -210,7 +210,8 @@ def compare(a, b, theta):
 # A variable takes a bit in a process-wide index while its Var node
 # lives and gives it back when the node dies, so every node carries its
 # variable set as an int bitmask (``mask``), and no index grows past the
-# variables alive at one time.
+# variables alive at one time.  Neither the table nor the index is
+# locked: build expressions from one thread at a time.
 
 #: Unique table: intern key -> weak reference to the live node.
 _TABLE = {}

@@ -1,8 +1,15 @@
+import gc
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import pvcdb
 from pvcdb import algebra as alg
+from pvcdb import dtree
 from pvcdb.algebra import (
     Add,
     Cmp,
@@ -18,7 +25,7 @@ from pvcdb.algebra import (
     Var,
 )
 from pvcdb.errors import ArithmeticOverflow, CarrierMismatch, UnboundVariable
-from pvcdb.exprtext import parse_expr
+from pvcdb.exprtext import format_expr, parse_expr
 
 B = SemiringKind.BOOLEAN
 N = SemiringKind.NATURAL
@@ -463,9 +470,8 @@ class TestHashConsing:
         nested = alg.make_product([a, alg.make_product([c, b])])
         assert nested is alg.make_product([b, a, c])
         assert nested is Mul([c, a, b])
-        assert alg.make_msum(MonoidKind.MIN, [Scaled(MonoidKind.MIN, a, 3), MConst(MonoidKind.MIN, 7)]) is (
-            MSum(MonoidKind.MIN, [MConst(MonoidKind.MIN, 7), Scaled(MonoidKind.MIN, a, 3)])
-        )
+        term, seven = Scaled(MonoidKind.MIN, a, 3), MConst(MonoidKind.MIN, 7)
+        assert alg.make_msum(MonoidKind.MIN, [term, seven]) is MSum(MonoidKind.MIN, [seven, term])
         assert alg.make_sum([a, b]).key() == alg.make_sum([b, a]).key()
         assert alg.make_sum([a, b]) is not alg.make_product([a, b])
         assert Cmp(a, "<=", b) is not Cmp(b, "<=", a)
@@ -481,14 +487,10 @@ class TestHashConsing:
         ],
     )
     def test_parse_of_print_is_the_same_node(self, text):
-        from pvcdb.exprtext import format_expr
-
         e = parse_expr(text)
         assert parse_expr(format_expr(e)) is e
 
     def test_constant_comparisons_print_their_monoid(self):
-        from pvcdb.exprtext import format_expr
-
         for left, right in [
             (MConst(MonoidKind.MIN, 0), MConst(MonoidKind.MIN, 1)),
             (parse_expr("min{a(x)3}"), MConst(MonoidKind.MAX, 1)),
@@ -506,8 +508,6 @@ class TestHashConsing:
         assert alg.substitute(zw, "x", 0) is zw
 
     def test_dead_expressions_leave_the_table(self):
-        import gc
-
         gc.collect()
         size = len(alg._TABLE)
         keep = [
@@ -533,8 +533,6 @@ class TestHashConsing:
         # A monoid constant and the like-valued semiring constant are
         # different nodes (a comparison needs its sides' sort), but both
         # are just the value 1 to the compiler, which gives them one leaf.
-        from pvcdb import dtree
-
         assert MConst(MonoidKind.MIN, 1) is not Const(1)
         assert MConst(MonoidKind.MIN, 1) is not MConst(MonoidKind.MAX, 1)
         tree = dtree.compile_joint([Const(1), MConst(MonoidKind.MIN, 1)], {})
@@ -543,13 +541,6 @@ class TestHashConsing:
         assert dtree.node_count(tree) == 4
 
     def test_compilation_does_not_depend_on_the_hash_seed(self):
-        import os
-        import subprocess
-        import sys
-        import pathlib
-
-        import pvcdb
-
         script = (
             "from pvcdb import cli, dtree\n"
             "p = cli.GenParams(terms_left=30, clauses=3, literals=3, num_vars=25,"
