@@ -16,9 +16,11 @@ holds and its 0 otherwise.
 Expressions are hash-consed: every constructor returns the one live
 node built from equal arguments, so structurally equal expressions (up
 to the order of the operands of ``+``, ``*`` and monoid sums) are one
-object, compared and hashed by identity.  A weak unique table finds
-them, and each node carries its variable set as an int bitmask over a
-process-wide variable index (see the section on expression trees).
+object, compared and hashed by identity; that object keeps, and prints
+in, the operand order it was first built with.  A weak unique table
+finds them, and each node carries its variable set as an int bitmask
+over a process-wide variable index (see the section on expression
+trees).
 
 Values are plain Python ints.  The Boolean semiring uses 0 for false and
 1 for true, which makes the set semantics a special case of the bag
@@ -348,7 +350,9 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        key = ("k", value)
+        # True and 1.0 hash and compare equal to 1: key them apart, so
+        # that evaluation rejects them as it would without the table.
+        key = ("k", value) if type(value) is int else ("k", type(value).__name__, value)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             node = _new(cls, key, 0)
@@ -456,6 +460,8 @@ class MConst(MExpr):
     __slots__ = ("kind", "value")
 
     def __new__(cls, kind, value):
+        if type(value) is not int:  # True and 1.0 would find the node of 1
+            kind.check_value(value)
         key = ("m", kind._value_, value)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
@@ -475,6 +481,8 @@ class Scaled(MExpr):
     __slots__ = ("kind", "weight", "value")
 
     def __new__(cls, kind, weight, value):
+        if type(value) is not int:  # as in MConst
+            kind.check_value(value)
         key = ("s", kind._value_, weight.uid, value)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
@@ -596,7 +604,8 @@ def make_msum(kind, terms):
     neutral = _NEUTRAL[kind]
     const = neutral
     symbolic = []
-    for t in terms:
+    rest = iter(terms)
+    for t in rest:
         if t.kind is not kind:
             raise CarrierMismatch(
                 "summand over %s inside a %s sum" % (t.kind.name, kind.name)
@@ -610,8 +619,11 @@ def make_msum(kind, terms):
         elif tt is MConst:
             const = kind.plus(const, t.value)
         elif tt is MSum:
-            # Start again on the terms with this sum's terms in its place.
-            return make_msum(kind, [u for p in terms for u in sum_parts(p)])
+            # Start again with this sum's terms in its place, from what
+            # the terms seen so far came to and the rest flattened.
+            flat = [*symbolic, MConst(kind, const), *t.terms]
+            flat.extend(u for p in rest for u in sum_parts(p))
+            return make_msum(kind, flat)
         else:
             raise CarrierMismatch("monoid sum over non-flat term %r" % (t,))
     if const != neutral:

@@ -529,6 +529,40 @@ class TestHashConsing:
         counts["x"] += 10
         assert alg.occurrences(e) == {"x": 2, "y": 1}
 
+    def test_commuted_duplicates_print_in_the_first_built_order(self):
+        # x*y and y*x are one node, which keeps the operand order it was
+        # built with; the meaning is the same either way.
+        assert format_expr(parse_expr("hc_x*hc_y + hc_y*hc_x")) == "hc_x*hc_y + hc_x*hc_y"
+        first = parse_expr("hc_y*hc_x")
+        assert format_expr(parse_expr("hc_x*hc_y + hc_y*hc_x")) == "hc_y*hc_x + hc_y*hc_x"
+        assert format_expr(first) == "hc_y*hc_x"
+
+    def test_values_equal_to_an_int_are_not_taken_for_it(self):
+        # True and 1.0 hash like 1, so the table must not hand back the
+        # live node of 1 in place of rejecting them.
+        keep = [MConst(MonoidKind.SUM, 1), Scaled(MonoidKind.SUM, Var("hc_a"), 1), Const(1)]
+        for bad in (True, 1.0):
+            with pytest.raises(CarrierMismatch):
+                MConst(MonoidKind.SUM, bad)
+            with pytest.raises(CarrierMismatch):
+                Scaled(MonoidKind.SUM, Var("hc_a"), bad)
+            with pytest.raises(CarrierMismatch):
+                Const(bad).eval({}, B)
+            assert Const(bad) is not Const(1)
+        assert MConst(MonoidKind.MIN, INF) is MConst(MonoidKind.MIN, INF)
+        with pytest.raises(CarrierMismatch):
+            MConst(MonoidKind.SUM, INF)
+        assert keep[0].value == 1
+
+    def test_monoid_sum_of_an_iterator_keeps_every_term(self):
+        kind = MonoidKind.SUM
+        a, b, c = (Scaled(kind, Var(n), v) for n, v in (("hc_a", 2), ("hc_b", 3), ("hc_c", 4)))
+        inner = MSum(kind, [b, MConst(kind, 5)])
+        terms = [a, MConst(kind, 1), inner, c, MSum(kind, [MConst(kind, 2), a])]
+        want = alg.make_msum(kind, terms)
+        assert alg.make_msum(kind, iter(terms)) is want
+        assert format_expr(want) == "sum{hc_a(x)2 + hc_b(x)3 + hc_c(x)4 + hc_a(x)2 + 8}"
+
     def test_constants_of_either_sort_share_one_compiled_leaf(self):
         # A monoid constant and the like-valued semiring constant are
         # different nodes (a comparison needs its sides' sort), but both
