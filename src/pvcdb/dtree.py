@@ -34,7 +34,18 @@ children in one dense list (:func:`pvcdb.prob.sum_fold`) when their
 supports are integral and the list is no wider than the pairwise work
 warrants; otherwise they add pairwise, unchecked when the largest
 values cannot overflow 64 bits.  MIN and MAX merge sorted supports
-(:func:`pvcdb.prob.extreme_convolve`).  :func:`distribution` walks the tree with an explicit stack.
+(:func:`pvcdb.prob.extreme_convolve`).
+
+One compiler (:class:`_Compiler`) builds every tree.  The joint of
+several expressions, such as a row's annotation and its aggregate cells
+(:func:`compile_joint`), is a tuple of (index, expression) pairs that
+compiles like one expression, through the same memo and case splits:
+it splits into a :class:`JointProduct` of its variable-disjoint groups,
+each group of one expression compiled as a scalar, or else on the
+variable that :func:`choose_branch_variable` picks over all its
+expressions, so the unit rule steers joints too.  Both the compiler and
+:func:`distribution` walk with an explicit post-order stack, so a deep
+case-split chain does not meet Python's recursion limit.
 
 A mutex branch substitutes one value for its variable, and substitution
 folds every comparison that the remaining values already decide
@@ -43,7 +54,9 @@ that can no longer change its result.  For a grouped MIN or MAX over
 independent tuples this makes joint compilation polynomial: once one
 row is present, the group's presence conditional ``[phi_1 + ... != 0]``
 folds to 1 and splits off from the cell, so the case splits form one
-chain, linear in the group's rows.
+chain, linear in the group's rows.  The unit rule takes the rows in the
+order of their values, so a present row also decides the cell, and
+the cases where a row is present end in one shared subtree per value.
 
 Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
 constant for this: it keeps the terms that can decide the comparison
@@ -141,7 +154,7 @@ class VarLeaf(DNode):
 
 
 class ConstLeaf(DNode):
-    """A semiring constant."""
+    """A constant, of the semiring or of a monoid."""
 
     __slots__ = ("value",)
 
@@ -151,19 +164,6 @@ class ConstLeaf(DNode):
 
     def label(self):
         return str(self.value)
-
-
-class MonoidLeaf(DNode):
-    """A monoid constant (a fully scaled term folds to one)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        super().__init__()
-        self.value = value
-
-    def label(self):
-        return "m:" + ("%s" % self.value)
 
 
 class SumNode(DNode):
@@ -240,18 +240,17 @@ class MutexNode(DNode):
     """Case split on the values of one variable.
 
     One child per support value of the variable, holding the
-    sub-expression with that value substituted; the child weight is the
-    value's probability.  Joint-compiled mutex nodes carry the indices
-    of the expressions they cover.
+    sub-expression (or, in a joint tree, the tuple of sub-expressions)
+    with that value substituted; the child weight is the value's
+    probability.
     """
 
-    __slots__ = ("var", "branches", "indices")
+    __slots__ = ("var", "branches")
 
-    def __init__(self, var, branches, indices=None):
+    def __init__(self, var, branches):
         super().__init__()
         self.var = var
         self.branches = tuple(branches)  # (value, prob, child)
-        self.indices = indices
 
     def children(self):
         return tuple(c for _, _, c in self.branches)
@@ -260,36 +259,24 @@ class MutexNode(DNode):
         return "|_|%s" % self.var
 
 
-class JointScalar(DNode):
-    """Wraps a scalar tree as a one-component joint tree."""
-
-    __slots__ = ("indices", "inner")
-
-    def __init__(self, index, inner):
-        super().__init__()
-        self.indices = (index,)
-        self.inner = inner
-
-    def children(self):
-        return (self.inner,)
-
-    def label(self):
-        return "joint[%d]" % self.indices[0]
-
-
 class JointProduct(DNode):
-    """Combines variable-disjoint joint trees; the joint distribution of
-    independent parts is the product of their distributions."""
+    """Combines variable-disjoint parts of a joint tree; the joint
+    distribution of independent parts is the product of their
+    distributions.
 
-    __slots__ = ("indices", "parts")
+    ``indices[k]`` are the positions, ascending, of the expressions that
+    ``parts[k]`` covers: one position for a scalar tree, whose values
+    are scalars, several for a joint tree, whose values are tuples in
+    the order of its positions.  The node's values are tuples ordered by
+    position.
+    """
 
-    def __init__(self, parts):
+    __slots__ = ("parts", "indices")
+
+    def __init__(self, parts, indices):
         super().__init__()
         self.parts = tuple(parts)
-        merged = []
-        for p in self.parts:
-            merged.extend(p.indices)
-        self.indices = tuple(sorted(merged))
+        self.indices = indices
 
     def children(self):
         return self.parts
@@ -485,26 +472,32 @@ def split_compare(expr):
     return expr.left, expr.right
 
 
-def choose_branch_variable(expr):
-    """The variable to split a case on.
+def choose_branch_variable(*exprs):
+    """The variable to split a case on, in one expression or in the
+    joint of several.
 
     A MIN or MAX sum, or a conditional on one, whose term has a clause
     that is one variable goes first (:func:`_unit_variable`).  Otherwise
-    the variable with most occurrences in the expression as written; ties
-    break towards the lexicographically smallest name.
+    the variable with most occurrences in the expressions as written;
+    ties break towards the lexicographically smallest name.
     """
-    counts = expr.occ()
+    if len(exprs) == 1:
+        counts = exprs[0].occ()
+    else:
+        counts = Counter()
+        for expr in exprs:
+            counts.update(expr.occ())
     if not counts:
         raise NoVariables("expression has no variables")
-    unit = _unit_variable(expr, counts)
+    unit = _unit_variable(exprs, counts)
     if unit is not None:
         return unit
     return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-def _unit_variable(expr, counts):
+def _unit_variable(exprs, counts):
     """The variable of a one-variable clause in a MIN or MAX sum (or in
-    either side of a conditional), or None.
+    either side of a conditional) among ``exprs``, or None.
 
     Where the variable is non-zero its term fires, and for the best value
     that decides the sum; where it is zero every clause that contains it
@@ -513,20 +506,20 @@ def _unit_variable(expr, counts):
     value (smallest for MIN, largest for MAX) goes first, then most
     occurrences, then the smallest name.
     """
-    sides = (expr.left, expr.right) if type(expr) is Cmp else (expr,)
     best = None
-    for side in sides:
-        if type(side) not in (Scaled, MSum) or side.kind not in (MonoidKind.MIN, MonoidKind.MAX):
-            continue
-        sign = 1 if side.kind is MonoidKind.MIN else -1
-        for t in alg.sum_parts(side):
-            if type(t) is not Scaled:
+    for expr in exprs:
+        for side in (expr.left, expr.right) if type(expr) is Cmp else (expr,):
+            if type(side) not in (Scaled, MSum) or side.kind not in (MonoidKind.MIN, MonoidKind.MAX):
                 continue
-            for clause in alg.sum_parts(t.weight):
-                if type(clause) is Var:
-                    rank = (sign * t.value, -counts[clause.name], clause.name)
-                    if best is None or rank < best:
-                        best = rank
+            sign = 1 if side.kind is MonoidKind.MIN else -1
+            for t in alg.sum_parts(side):
+                if type(t) is not Scaled:
+                    continue
+                for clause in alg.sum_parts(t.weight):
+                    if type(clause) is Var:
+                        rank = (sign * t.value, -counts[clause.name], clause.name)
+                        if best is None or rank < best:
+                            best = rank
     return None if best is None else best[2]
 
 
@@ -556,68 +549,115 @@ class _Compiler:
         except KeyError:
             raise MissingDistribution("no distribution for variable %s" % name) from None
 
-    def substitute(self, expr, x, value):
+    def substitute(self, item, x, value):
+        """An expression, or each of a joint's, with ``value`` for ``x``."""
         done = self.substitutions.setdefault((x, value), {})
-        return alg.substitute(expr, x, value, done)
+        if type(item) is tuple:
+            return tuple((i, alg.substitute(e, x, value, done)) for i, e in item)
+        return alg.substitute(item, x, value, done)
 
-    def compile(self, expr):
-        # Equal sub-expressions recur across mutex branches; compiling
-        # each once turns the tree into a DAG without changing any
-        # distribution.  Expressions are interned, so the memo is keyed
-        # on identity; a semiring and a monoid constant of one value
-        # share a leaf.
-        t = type(expr)
-        key = ("k", expr.value) if t is Const or t is MConst else expr
-        hit = self.memo.get(key)
-        if hit is not None:
-            hit.shared = True
-            return hit
-        self.charge()
-        if isinstance(expr, Expr):
-            node = self._compile_semiring(expr)
-        elif isinstance(expr, MExpr):
-            node = self._compile_semimodule(expr)
+    def compile(self, item):
+        """The tree of an expression, or the joint tree of a tuple of
+        (index, expression) pairs.
+
+        Equal inputs recur across mutex branches; compiling each once
+        turns the tree into a DAG without changing any distribution.
+        Expressions are interned, so the memo is keyed on identity, and a
+        tuple of them is its own key; a semiring and a monoid constant of
+        one value share a leaf.  The walk keeps its own post-order stack:
+        an input is expanded when first seen, and its node is built once
+        the trees of its children lie on top of ``done``.
+        """
+        memo = self.memo
+        done = []
+        stack = [item]
+        while stack:
+            item = stack.pop()
+            if item is None:  # the node below has its children on top of done
+                key, make, arg, n = stack.pop()
+                node = memo[key] = make(done[-n:], arg)
+                del done[-n:]
+                done.append(node)
+                continue
+            t = type(item)
+            key = ("k", item.value) if t is Const or t is MConst else item
+            node = memo.get(key)
+            if node is not None:
+                node.shared = True
+            else:
+                if self.remaining is not None:
+                    self.charge()
+                node = self._expand(item)
+                if type(node) is tuple:
+                    make, arg, children = node
+                    stack.append((key, make, arg, len(children)))
+                    stack.append(None)
+                    stack += reversed(children)
+                    continue
+                memo[key] = node
+            done.append(node)
+        return done[0]
+
+    def _expand(self, item):
+        """The leaf of an input, or ``(make, arg, children)``: the inputs
+        to compile first, and ``make(trees, arg)`` builds the node from
+        their trees.
+
+        A joint is a product of its variable-disjoint groups, each group
+        of one expression compiled as a scalar; a joint of one group, like
+        an expression that no independence split applies to, splits into
+        cases.
+        """
+        if type(item) is tuple:
+            groups = connected_groups([(pair, pair[1].mask) for pair in item])
+            if len(groups) > 1 or len(item) == 1:
+                indices = tuple(tuple(i for i, _ in g) for g in groups)
+                return JointProduct, indices, [g[0][1] if len(g) == 1 else tuple(g) for g in groups]
+            exprs = [e for _, e in item]
         else:
-            raise TypeError("not an expression: %r" % (expr,))
-        self.memo[key] = node
-        return node
+            semiring = isinstance(item, Expr)
+            if not semiring and not isinstance(item, MExpr):
+                raise TypeError("not an expression: %r" % (item,))
+            if not item.mask:
+                return ConstLeaf(item.eval({}, self.sk))
+            if type(item) is Var:
+                return VarLeaf(item.name, self.dist_of(item.name))
+            parts = split_sum(item)
+            if parts is not None:
+                return SumNode, None if semiring else item.kind, parts
+            if semiring:
+                parts = split_product(item)
+                if parts is not None:
+                    return _prod_node, None, parts
+                if type(item) is Cmp:
+                    pair = split_compare(item)
+                    if pair is not None:
+                        return _cmp_node, item.theta, pair
+            else:
+                pair = split_scale(item)
+                if pair is not None:
+                    return _scale_node, item.kind, pair
+            exprs = (item,)
+        x = choose_branch_variable(*exprs)
+        entries = self.dist_of(x).entries
+        return _mutex_node, (x, entries), [self.substitute(item, x, v) for v, _ in entries]
 
-    def _compile_semiring(self, expr):
-        if not expr.mask:
-            return ConstLeaf(alg.eval_semiring(expr, {}, self.sk))
-        if isinstance(expr, Var):
-            return VarLeaf(expr.name, self.dist_of(expr.name))
-        parts = split_sum(expr)
-        if parts is not None:
-            return SumNode([self.compile(p) for p in parts])
-        parts = split_product(expr)
-        if parts is not None:
-            return ProdNode([self.compile(p) for p in parts])
-        if isinstance(expr, Cmp):
-            pair = split_compare(expr)
-            if pair is not None:
-                return CmpNode(self.compile(pair[0]), expr.theta, self.compile(pair[1]))
-        return self._mutex(expr)
 
-    def _compile_semimodule(self, expr):
-        if not expr.mask:
-            return MonoidLeaf(alg.eval_semimodule(expr, {}, self.sk))
-        parts = split_sum(expr)
-        if parts is not None:
-            return SumNode([self.compile(p) for p in parts], expr.kind)
-        pair = split_scale(expr)
-        if pair is not None:
-            return ScaleNode(self.compile(pair[0]), self.compile(pair[1]), expr.kind)
-        return self._mutex(expr)
+def _prod_node(parts, _):
+    return ProdNode(parts)
 
-    def _mutex(self, expr):
-        x = choose_branch_variable(expr)
-        dist = self.dist_of(x)
-        branches = []
-        for value, p in dist.entries:
-            child = self.compile(self.substitute(expr, x, value))
-            branches.append((value, p, child))
-        return MutexNode(x, branches)
+
+def _cmp_node(pair, theta):
+    return CmpNode(pair[0], theta, pair[1])
+
+
+def _scale_node(pair, kind):
+    return ScaleNode(pair[0], pair[1], kind)
+
+
+def _mutex_node(children, case):
+    x, entries = case
+    return MutexNode(x, [(v, p, c) for (v, p), c in zip(entries, children)])
 
 
 def compile(expr, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
@@ -628,6 +668,17 @@ def compile(expr, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
     blowup on adversarial inputs.
     """
     return _Compiler(var_dists, sk, node_budget).compile(expr)
+
+
+def compile_joint(exprs, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
+    """Compile several expressions over one variable universe into a
+    single tree whose distribution ranges over value tuples.
+
+    The tuple of (index, expression) pairs compiles like one expression:
+    case splits proceed until the expressions fall apart into
+    variable-disjoint groups, which then combine by product.
+    """
+    return _Compiler(var_dists, sk, node_budget).compile(tuple(enumerate(exprs)))
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +726,10 @@ def _distribution(d, sk, memo):
         )
     if isinstance(d, VarLeaf):
         return d.dist
-    if isinstance(d, (ConstLeaf, MonoidLeaf)):
+    if isinstance(d, ConstLeaf):
         return Distribution.point(d.value)
     if isinstance(d, CmpNode):
         return compare_convolve(memo[id(d.left)], memo[id(d.right)], d.theta)
-    if isinstance(d, JointScalar):
-        return Distribution._sorted(((v,), p) for v, p in memo[id(d.inner)].entries)
     if isinstance(d, JointProduct):
         return _joint_product_dist(d, memo)
     raise TypeError("not a d-tree node: %r" % (d,))
@@ -745,16 +794,19 @@ def _fold(d, sk, memo):
 
 
 def _joint_product_dist(d, memo):
-    child_dists = [memo[id(c)] for c in d.parts]
-    slot = {idx: i for i, idx in enumerate(d.indices)}
+    slot = {i: k for k, i in enumerate(sorted(i for idx in d.indices for i in idx))}
+    places = [[slot[i] for i in idx] for idx in d.indices]
     entries = []
-    for combo in itertools.product(*(cd.entries for cd in child_dists)):
+    for combo in itertools.product(*(memo[id(c)].entries for c in d.parts)):
         prob = 1.0
-        values = [None] * len(d.indices)
-        for part, (value, p) in zip(d.parts, combo):
+        values = [None] * len(slot)
+        for place, (value, p) in zip(places, combo):
             prob *= p
-            for k, idx in enumerate(part.indices):
-                values[slot[idx]] = value[k]
+            if len(place) == 1:
+                values[place[0]] = value
+            else:
+                for k, v in zip(place, value):
+                    values[k] = v
         entries.append((tuple(values), prob))
     return Distribution.from_pairs(entries)
 
@@ -768,7 +820,7 @@ def eval_dtree(d, nu, sk=SemiringKind.BOOLEAN):
     """
     if isinstance(d, VarLeaf):
         return nu[d.name]
-    if isinstance(d, (ConstLeaf, MonoidLeaf)):
+    if isinstance(d, ConstLeaf):
         return d.value
     if isinstance(d, (SumNode, ProdNode)):
         op = sk.mul if isinstance(d, ProdNode) else sk.add if d.kind is None else d.kind.plus
@@ -783,16 +835,12 @@ def eval_dtree(d, nu, sk=SemiringKind.BOOLEAN):
             if value == x:
                 return eval_dtree(child, nu, sk)
         raise ValueError("value %r of %s has probability zero" % (x, d.var))
-    if isinstance(d, JointScalar):
-        return (eval_dtree(d.inner, nu, sk),)
     if isinstance(d, JointProduct):
-        values = [None] * len(d.indices)
-        slot = {idx: i for i, idx in enumerate(d.indices)}
-        for part in d.parts:
+        values = {}
+        for idx, part in zip(d.indices, d.parts):
             sub = eval_dtree(part, nu, sk)
-            for k, idx in enumerate(part.indices):
-                values[slot[idx]] = sub[k]
-        return tuple(values)
+            values.update(zip(idx, sub if len(idx) > 1 else (sub,)))
+        return tuple(values[i] for i in sorted(values))
     raise TypeError("not a d-tree node: %r" % (d,))
 
 
@@ -939,33 +987,17 @@ def _booleanize(expr):
 
 _MIRROR = {"<=": ">=", ">=": "<=", "<": ">", ">": "<", "=": "=", "!=": "!="}
 
-# For MIN/MAX against a constant bound, a term whose value fails this
-# predicate can neither satisfy nor break the comparison and is dropped.
-_MIN_KEEP = {
-    "<=": lambda v, m: v <= m,
-    "<": lambda v, m: v < m,
-    ">=": lambda v, m: v < m,
-    ">": lambda v, m: v <= m,
-    "=": lambda v, m: v <= m,
-    "!=": lambda v, m: v <= m,
-}
-_MAX_KEEP = {
-    ">=": lambda v, m: v >= m,
-    ">": lambda v, m: v > m,
-    "<=": lambda v, m: v > m,
-    "<": lambda v, m: v >= m,
-    "=": lambda v, m: v >= m,
-    "!=": lambda v, m: v >= m,
-}
-
 
 def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
     """Drop redundant terms from a conditional against a constant bound.
 
-    For MIN and MAX the comparison outcome only depends on terms on the
-    deciding side of the bound, and of those only on which outcome class
-    the extreme fired value falls in; the kept values are mapped to one
-    representative per class (:func:`_class_representatives`).  For SUM,
+    For MIN and MAX the comparison outcome only depends on which outcome
+    class (:func:`_outcome_class`) the extreme fired value falls in, so
+    only terms outside the class of the empty sum (the monoid's neutral
+    value) are kept, and their values are mapped to one representative
+    per class (:func:`_class_representatives`).  A bound that decides the
+    comparison, such as ``+inf`` for MIN ``<=``, keeps no term, and the
+    conditional folds to a constant.  For SUM,
     value bounds can force the comparison outright, in which case the
     semiring constant 1 or 0 is returned.  Unrecognised shapes, and
     conditionals with nothing to drop or map, come back unchanged.
@@ -981,11 +1013,13 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
     kind = left.kind
     terms = alg.sum_parts(left)
     if kind in (MonoidKind.MIN, MonoidKind.MAX):
-        keep = (_MIN_KEEP if kind is MonoidKind.MIN else _MAX_KEEP)[theta]
         forced = alg.make_cmp(left, theta, right)
         if type(forced) is Const:
             return forced
-        kept = [t for t in terms if keep(t.value, bound)]
+        # A term in the outcome class of the empty sum can neither
+        # satisfy nor break the comparison.
+        idle = _outcome_class(kind.neutral, theta, bound)
+        kept = [t for t in terms if _outcome_class(t.value, theta, bound) != idle]
         if not kept:
             # No remaining term can decide the comparison, so its truth
             # is that of the empty sum against the bound.
@@ -1121,40 +1155,3 @@ def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
             return expr
         return (alg.make_sum if t is Add else alg.make_product)(pruned)
     raise TypeError("not an expression: %r" % (expr,))
-
-
-# ---------------------------------------------------------------------------
-# Joint compilation
-# ---------------------------------------------------------------------------
-
-
-def compile_joint(exprs, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
-    """Compile several expressions over one variable universe into a
-    single tree whose distribution ranges over value tuples.
-
-    Mutex expansion proceeds until the expressions fall apart into
-    variable-disjoint groups, which then combine by product.
-    """
-    compiler = _Compiler(var_dists, sk, node_budget)
-    indexed = list(enumerate(exprs))
-    return _compile_joint(compiler, indexed)
-
-
-def _compile_joint(compiler, indexed):
-    compiler.charge()
-    if len(indexed) == 1:
-        idx, expr = indexed[0]
-        return JointScalar(idx, compiler.compile(expr))
-    groups = connected_groups([(item, item[1].mask) for item in indexed])
-    if len(groups) > 1:
-        return JointProduct([_compile_joint(compiler, g) for g in groups])
-    counts = Counter()
-    for _, expr in indexed:
-        counts.update(expr.occ())
-    x = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    dist = compiler.dist_of(x)
-    branches = []
-    for value, p in dist.entries:
-        substituted = [(i, compiler.substitute(e, x, value)) for i, e in indexed]
-        branches.append((value, p, _compile_joint(compiler, substituted)))
-    return MutexNode(x, branches, indices=tuple(sorted(i for i, _ in indexed)))

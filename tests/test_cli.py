@@ -1,4 +1,3 @@
-import inspect
 import io
 import os
 import pathlib
@@ -437,26 +436,33 @@ class TestSubcommands:
         code, _ = run_cli("prob", "--expr", expr, "--probs", str(probs))
         assert code == 0
 
-    def test_recursion_limit_is_one_error_line(self, tmp_path, capsys):
-        # A chain of case splits one variable deep each, against a
-        # recursion limit lowered so the chain cannot fit.
-        n = 300
+    def test_recursion_limit_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def too_deep(*args, **kwargs):
+            raise RecursionError
+
+        monkeypatch.setattr(dtree, "compile", too_deep)
+        probs = tmp_path / "p.tsv"
+        probs.write_text("a\t0\t0.5\na\t1\t0.5\n")
+        code = cli.run(["prob", "--expr", "a", "--probs", str(probs)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: exceeded the interpreter's recursion limit (")
+        assert err.count("\n") == 1
+
+    def test_deep_case_split_chain_fits_the_default_recursion_limit(self, tmp_path):
+        # A chain of case splits one variable deep each, a thousand
+        # levels: compilation and the distribution walk keep their own
+        # stacks.
+        n = 1000
         probs = tmp_path / "p.tsv"
         probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n)))
         expr = "[%s != 0] * [min{%s} >= 25]" % (
             " + ".join("x%d" % i for i in range(n)),
             " + ".join("x%d(x)%d" % (i, i % 50) for i in range(n)),
         )
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
-        try:
-            code = cli.run(["prob", "--expr", expr, "--probs", str(probs)])
-        finally:
-            sys.setrecursionlimit(old)
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: exceeded the interpreter's recursion limit (")
-        assert err.count("\n") == 1
+        out = io.StringIO()
+        assert cli.main(["prob", "--expr", expr, "--probs", str(probs)], out=out) == 0
+        assert out.getvalue() == "0\t1\n"
 
     def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -9,7 +9,6 @@ from pvcdb import cli, dtree
 from pvcdb.algebra import Cmp, Const, INF, MConst, MonoidKind, SemiringKind, Var
 from pvcdb.dtree import (
     ConstLeaf,
-    MonoidLeaf,
     MutexNode,
     SumNode,
     VarLeaf,
@@ -186,7 +185,7 @@ class TestCompileShapes:
         tree = dtree.compile(Const(1), {}, B)
         assert isinstance(tree, ConstLeaf) and tree.value == 1
         tree = dtree.compile(MConst(MonoidKind.SUM, 7), {}, N)
-        assert isinstance(tree, MonoidLeaf) and tree.value == 7
+        assert isinstance(tree, ConstLeaf) and tree.value == 7
 
     def test_variable_leaf(self):
         tree = dtree.compile(Var("x"), {"x": coin(0.3)}, B)
@@ -604,6 +603,21 @@ class TestPrune:
                 got = distribution(dtree.compile(out, dists, sk), sk)
                 assert got.close_to(brute_distribution(cond, dists, sk), 1e-12)
 
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    @pytest.mark.parametrize("theta", alg.THETAS)
+    @pytest.mark.parametrize("bound", ["+inf", "-inf"])
+    def test_infinite_bounds(self, kind, theta, bound):
+        # A comparison that an infinite bound decides folds outright, for
+        # example [min{...} <= +inf] to 1; any other keeps its terms.
+        cond = parse_expr("[%s{a(x)1 + b*c(x)5 + c(x)9} %s %s]" % (kind, theta, bound))
+        dists = {n: coin(0.3 + 0.1 * i) for i, n in enumerate("abc")}
+        want = brute_distribution(cond, dists, B)
+        out = prune(cond)
+        if len(want) == 1:
+            assert out == Const(want.support[0])
+        got = distribution(dtree.compile(out, dists, B), B)
+        assert got.close_to(want, 1e-12)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -806,7 +820,7 @@ class TestCompileJoint:
         assert set(got.support) == set(acc)
         for key, mass in acc.items():
             assert got[key] == pytest.approx(mass, abs=1e-12)
-        assert dtree.node_count(tree) == 34
+        assert dtree.node_count(tree) == 28
 
 
 class TestValidator:

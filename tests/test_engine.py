@@ -357,11 +357,11 @@ class TestGroupedJointSweep:
                             marginal[value[0]] = marginal.get(value[0], 0.0) + p
                         _assert_close(dict(row.annotation.entries), marginal, context)
 
-    @pytest.mark.parametrize("n", [64, 400])
+    @pytest.mark.parametrize("n", [64, 400, 1000])
     @pytest.mark.parametrize("agg", ["min", "max"])
     def test_single_group_joint_fits_the_budget(self, agg, n):
-        # At 400 rows the case-split chain is hundreds of mutex levels
-        # deep; the distribution walk must not meet the default
+        # The case-split chain is one mutex level per row; neither
+        # compilation nor the distribution walk may meet the default
         # recursion limit.
         rng = random.Random(64)
         r = PvcTable("R", ("g", "v"), (CONST, CONST))
@@ -390,6 +390,10 @@ class TestGroupedJointSweep:
         (cells, phi), = table.rows
         jtree = dtree.compile_joint([phi, cells[1]], dists, B, node_budget=10000)
         assert dtree.mutex_count(jtree) <= n
+        # The unit rule splits on the rows in order of their values, so
+        # a present row decides the cell: one mutex node per row, and
+        # one product and one leaf per distinct value.
+        assert dtree.node_count(jtree) <= n + 2 * len(set(values)) + 3
 
 
 def _join_db(seed, sk=B, rows=6):
