@@ -573,13 +573,13 @@ class _Compiler:
         stack = [item]
         while stack:
             item = stack.pop()
-            if item is None:  # the node below has its children on top of done
-                key, make, arg, n = stack.pop()
+            t = type(item)
+            if t is list:  # [key, make, arg, n]: its n trees are on top of done
+                key, make, arg, n = item
                 node = memo[key] = make(done[-n:], arg)
                 del done[-n:]
                 done.append(node)
                 continue
-            t = type(item)
             key = ("k", item.value) if t is Const or t is MConst else item
             node = memo.get(key)
             if node is not None:
@@ -590,9 +590,8 @@ class _Compiler:
                 node = self._expand(item)
                 if type(node) is tuple:
                     make, arg, children = node
-                    stack.append((key, make, arg, len(children)))
-                    stack.append(None)
-                    stack += reversed(children)
+                    stack.append([key, make, arg, len(children)])
+                    stack += children[::-1]
                     continue
                 memo[key] = node
             done.append(node)
