@@ -537,12 +537,6 @@ class _Compiler:
         # (variable, value) -> the substitutions made under that binding
         self.substitutions = {}
 
-    def charge(self):
-        if self.remaining is not None:
-            self.remaining -= 1
-            if self.remaining < 0:
-                raise BudgetExceeded("node budget exhausted")
-
     def dist_of(self, name):
         try:
             return self.var_dists[name]
@@ -586,7 +580,9 @@ class _Compiler:
                 node.shared = True
             else:
                 if self.remaining is not None:
-                    self.charge()
+                    self.remaining -= 1
+                    if self.remaining < 0:
+                        raise BudgetExceeded("node budget exhausted")
                 node = self._expand(item)
                 if type(node) is tuple:
                     make, arg, children = node
@@ -801,11 +797,8 @@ def _joint_product_dist(d, memo):
         values = [None] * len(slot)
         for place, (value, p) in zip(places, combo):
             prob *= p
-            if len(place) == 1:
-                values[place[0]] = value
-            else:
-                for k, v in zip(place, value):
-                    values[k] = v
+            for k, v in zip(place, value if len(place) > 1 else (value,)):
+                values[k] = v
         entries.append((tuple(values), prob))
     return Distribution.from_pairs(entries)
 
