@@ -688,10 +688,9 @@ def _cmd_dtree(args, out):
     var_dists = load_probabilities(args.probs)
     sk = _semiring(args)
     tree = dtree.compile(expr, var_dists, sk, args.node_budget)
-    if args.dot:
-        out.write(dtree.dump_dot(tree) + "\n")
-    else:
-        out.write(dtree.dump_tree(tree) + "\n")
+    # Line by line: a deep tree's dump can be far larger than the tree.
+    for line in dtree.dot_lines(tree) if args.dot else dtree.tree_lines(tree):
+        out.write(line + "\n")
     return 0
 
 

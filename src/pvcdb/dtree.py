@@ -29,12 +29,17 @@ bitmasks of the parts.
 Sum and product nodes are n-ary: one split yields every connected
 component, so an aggregate over n independent tuples is one node with n
 children, compiled in linear time and folded in one loop with a kernel
-picked once per node (:func:`_fold`).  SUM and COUNT accumulate all
-children in one dense list (:func:`pvcdb.prob.sum_fold`) when their
-supports are integral and the list is no wider than the pairwise work
-warrants; otherwise they add pairwise, unchecked when the largest
-values cannot overflow 64 bits.  MIN and MAX merge sorted supports
-(:func:`pvcdb.prob.extreme_convolve`).
+picked once per node (:func:`_fold`).  Boolean sums and products carry
+the mass at 0 and the mass at 1 through one loop over the children
+(:func:`pvcdb.prob.boolean_fold`).  Integer addition (SUM, COUNT and the
+NATURAL semiring's sum) takes the children in ascending order of span,
+which keeps the partial sums narrowest, and accumulates them in one
+dense list (:func:`pvcdb.prob.sum_fold`) when their supports are
+integral and the list is no wider than the pairwise work warrants;
+otherwise it adds pairwise, unchecked when the largest values cannot
+overflow 64 bits.  MIN and MAX merge sorted supports
+(:func:`pvcdb.prob.extreme_convolve`); PROD and the NATURAL product
+convolve pairwise.
 
 One compiler (:class:`_Compiler`) builds every tree.  The joint of
 several expressions, such as a row's annotation and its aggregate cells
@@ -43,9 +48,10 @@ compiles like one expression, through the same memo and case splits:
 it splits into a :class:`JointProduct` of its variable-disjoint groups,
 each group of one expression compiled as a scalar, or else on the
 variable that :func:`choose_branch_variable` picks over all its
-expressions, so the unit rule steers joints too.  Both the compiler and
-:func:`distribution` walk with an explicit post-order stack, so a deep
-case-split chain does not meet Python's recursion limit.
+expressions, so the unit rule steers joints too.  The compiler,
+:func:`distribution`, :func:`eval_dtree`, :meth:`DNode.vars` (hence
+:func:`validate`) and the dumps all walk with an explicit stack, so a
+deep case-split chain does not meet Python's recursion limit.
 
 A mutex branch substitutes one value for its variable, and substitution
 folds every comparison that the remaining values already decide
@@ -102,6 +108,7 @@ from .errors import (
 )
 from .prob import (
     Distribution,
+    boolean_fold,
     compare_convolve,
     convolve,
     extreme_convolve,
@@ -126,15 +133,26 @@ class DNode:
         return ()
 
     def vars(self):
-        if self._vars is None:
+        """The variables of the subtree, cached on every node below that
+        has none yet; the walk keeps its own stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node._vars is not None:
+                continue
+            pending = [c for c in node.children() if c._vars is None]
+            if pending:
+                stack.append(node)
+                stack += pending
+                continue
             acc = set()
-            for c in self.children():
-                acc |= c.vars()
-            if isinstance(self, VarLeaf):
-                acc.add(self.name)
-            if isinstance(self, MutexNode):
-                acc.add(self.var)
-            self._vars = frozenset(acc)
+            for c in node.children():
+                acc |= c._vars
+            if isinstance(node, VarLeaf):
+                acc.add(node.name)
+            if isinstance(node, MutexNode):
+                acc.add(node.var)
+            node._vars = frozenset(acc)
         return self._vars
 
     def label(self):
@@ -737,8 +755,10 @@ def _add_pair(p, q):
     return convolve(p, q, operator.add if top <= U64_MAX else MonoidKind.SUM.plus)
 
 
-#: The convolution of two children of a monoid sum node.
+#: The convolution of two children of a sum node: of a monoid sum, or
+#: (``None``) of the NATURAL semiring's sum.
 _PAIR_KERNELS = {
+    None: _add_pair,
     MonoidKind.MIN: lambda p, q: extreme_convolve(p, q, False),
     MonoidKind.MAX: lambda p, q: extreme_convolve(p, q, True),
     MonoidKind.SUM: _add_pair,
@@ -747,23 +767,34 @@ _PAIR_KERNELS = {
 }
 
 
-def _fold(d, sk, memo):
-    """Convolve the children of an n-ary node from the last to the first,
-    in the order of a right-nested binary chain.
+def _span(d):
+    return d.entries[-1][0] - d.entries[0][0]
 
-    A tail of children that all have other parents may recur in another
-    node, as in sibling mutex branches, so its partial results are
-    memoised under the identities of their inputs, in either order since
-    the operations commute; other partial results are not kept.  Under
-    SUM and COUNT the children before that tail fold in one dense list
-    (:func:`pvcdb.prob.sum_fold`) when it pays, in the same order, so
-    that its ends are trimmed where the pairwise fold prunes them.
+
+def _fold(d, sk, memo):
+    """Combine the children of an n-ary node in one pass.
+
+    Boolean sums and products fold all children in one loop
+    (:func:`pvcdb.prob.boolean_fold`).  Otherwise the children are
+    convolved from the last to the first, in the order of a right-nested
+    binary chain, except for integer addition (SUM, COUNT and the
+    NATURAL semiring's sum), below.  A tail of children that all have
+    other parents may recur in another node, as in sibling mutex
+    branches, so its partial results are memoised under the identities
+    of their inputs, in either order since the operations commute; other
+    partial results are not kept.  Integer addition then takes the other
+    children and the tail's sum, in its place, in ascending order of
+    span (a stable sort, so ties keep the source order): each step of
+    the sum is as wide as the spans so far added up, so this order keeps
+    the intermediate supports narrowest.  In that order the sum runs in
+    one dense list (:func:`pvcdb.prob.sum_fold`) when it pays, else
+    pairwise.
     """
+    if sk is SemiringKind.BOOLEAN and (isinstance(d, ProdNode) or d.kind is None):
+        return boolean_fold([memo[id(c)] for c in d.parts], isinstance(d, SumNode))
     # ``tag`` names the operation in the keys of partial results.
     if isinstance(d, ProdNode):
         tag, pair = ProdNode, lambda p, q: convolve(p, q, sk.mul)
-    elif d.kind is None:
-        tag, pair = SumNode, lambda p, q: convolve(p, q, sk.add)
     else:
         tag = pair = _PAIR_KERNELS[d.kind]
     parts = d.parts
@@ -778,13 +809,16 @@ def _fold(d, sk, memo):
             if hit is None:
                 hit = memo[key] = pair(p, acc)
             acc = hit
-    rest = parts[i - 1 :: -1] if i else ()
-    if rest and pair is _add_pair:
-        dense = sum_fold([acc] + [memo[id(c)] for c in rest])
+    if i and pair is _add_pair:
+        ordered = sorted([memo[id(c)] for c in parts[:i]] + [acc], key=_span)
+        dense = sum_fold(ordered)
         if dense is not None:
             return dense
-    for c in rest:
-        acc = pair(memo[id(c)], acc)
+        acc, rest = ordered[0], ordered[1:]
+    else:
+        rest = [memo[id(c)] for c in parts[i - 1 :: -1]] if i else ()
+    for p in rest:
+        acc = pair(p, acc)
     return acc
 
 
@@ -808,31 +842,59 @@ def eval_dtree(d, nu, sk=SemiringKind.BOOLEAN):
 
     This is the structural read-back: it never touches probabilities,
     so agreement with the source expression on every valuation verifies
-    the compilation.
+    the compilation.  A mutex node reads only the branch of its
+    variable's value; the walk keeps its own post-order stack, with one
+    value per distinct node.
     """
+    memo = {}
+    stack = [d]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:  # (node, inputs): the inputs have values
+            node, inputs = item
+        elif id(item) in memo:
+            continue
+        else:
+            node, inputs = item, _eval_inputs(item, nu)
+            if inputs:
+                stack.append((node, inputs))
+                stack += inputs
+                continue
+        memo[id(node)] = _eval_node(node, nu, sk, [memo[id(c)] for c in inputs])
+    return memo[id(d)]
+
+
+def _eval_inputs(d, nu):
+    """The children whose values ``d``'s value depends on under ``nu``."""
+    if isinstance(d, MutexNode):
+        x = nu[d.var]
+        for value, _, child in d.branches:
+            if value == x:
+                return (child,)
+        raise ValueError("value %r of %s has probability zero" % (x, d.var))
+    return d.children()
+
+
+def _eval_node(d, nu, sk, values):
+    """The value of one node from the values of its inputs."""
     if isinstance(d, VarLeaf):
         return nu[d.name]
     if isinstance(d, ConstLeaf):
         return d.value
     if isinstance(d, (SumNode, ProdNode)):
         op = sk.mul if isinstance(d, ProdNode) else sk.add if d.kind is None else d.kind.plus
-        return functools.reduce(op, [eval_dtree(c, nu, sk) for c in d.parts])
+        return functools.reduce(op, values)
     if isinstance(d, ScaleNode):
-        return alg.scale(eval_dtree(d.left, nu, sk), eval_dtree(d.right, nu, sk), d.kind)
+        return alg.scale(values[0], values[1], d.kind)
     if isinstance(d, CmpNode):
-        return 1 if alg.compare(eval_dtree(d.left, nu, sk), eval_dtree(d.right, nu, sk), d.theta) else 0
+        return 1 if alg.compare(values[0], values[1], d.theta) else 0
     if isinstance(d, MutexNode):
-        x = nu[d.var]
-        for value, _, child in d.branches:
-            if value == x:
-                return eval_dtree(child, nu, sk)
-        raise ValueError("value %r of %s has probability zero" % (x, d.var))
+        return values[0]
     if isinstance(d, JointProduct):
-        values = {}
-        for idx, part in zip(d.indices, d.parts):
-            sub = eval_dtree(part, nu, sk)
-            values.update(zip(idx, sub if len(idx) > 1 else (sub,)))
-        return tuple(values[i] for i in sorted(values))
+        out = {}
+        for idx, sub in zip(d.indices, values):
+            out.update(zip(idx, sub if len(idx) > 1 else (sub,)))
+        return tuple(out[i] for i in sorted(out))
     raise TypeError("not a d-tree node: %r" % (d,))
 
 
@@ -870,41 +932,67 @@ def validate(d, var_dists=None):
 
 
 def dump_tree(d, indent=0):
-    """Indented textual rendering."""
-    pad = "  " * indent
-    if isinstance(d, MutexNode):
-        lines = [pad + d.label()]
-        for value, p, child in d.branches:
-            lines.append("%s  <- %s (p=%.6g)" % (pad, value, p))
-            lines.append(dump_tree(child, indent + 2))
-        return "\n".join(lines)
-    lines = [pad + d.label()]
-    for c in d.children():
-        lines.append(dump_tree(c, indent + 1))
-    return "\n".join(lines)
+    """Indented textual rendering (:func:`tree_lines`)."""
+    return "\n".join(tree_lines(d, indent))
+
+
+def tree_lines(d, indent=0):
+    """The lines of :func:`dump_tree`, one per node and mutex branch, as
+    they are made; a shared subtree is printed under each of its
+    parents.  The walk keeps its own stack of nodes and ready lines."""
+    stack = [(d, indent)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        node, depth = item
+        pad = "  " * depth
+        yield pad + node.label()
+        if isinstance(node, MutexNode):
+            todo = []
+            for value, p, child in node.branches:
+                todo.append("%s  <- %s (p=%.6g)" % (pad, value, p))
+                todo.append((child, depth + 2))
+        else:
+            todo = [(c, depth + 1) for c in node.children()]
+        stack += todo[::-1]
 
 
 def dump_dot(d):
-    """Graph description (DOT digraph) for external rendering."""
-    lines = ["digraph dtree {", "  node [shape=box];"]
+    """Graph description (DOT digraph) for external rendering
+    (:func:`dot_lines`)."""
+    return "\n".join(dot_lines(d))
+
+
+def dot_lines(d):
+    """The lines of :func:`dump_dot`, as they are made; a shared subtree
+    is drawn under each of its parents.  Nodes are numbered in
+    pre-order, and the edge into a node follows the lines of its
+    subtree."""
+    yield "digraph dtree {"
+    yield "  node [shape=box];"
     counter = itertools.count()
-
-    def walk(node):
+    stack = [(d, None)]  # (node, (parent id, edge attributes)) or a ready line
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        node, edge = item
         nid = "n%d" % next(counter)
-        lines.append('  %s [label="%s"];' % (nid, node.label().replace('"', "'")))
+        yield '  %s [label="%s"];' % (nid, node.label().replace('"', "'"))
+        if edge is not None:
+            stack.append("  %s -> %s%s" % (edge[0], nid, edge[1]))
         if isinstance(node, MutexNode):
-            for value, p, child in node.branches:
-                cid = walk(child)
-                lines.append('  %s -> %s [label="%s: %.4g"];' % (nid, cid, value, p))
+            todo = [
+                (child, (nid, ' [label="%s: %.4g"];' % (value, p)))
+                for value, p, child in node.branches
+            ]
         else:
-            for child in node.children():
-                cid = walk(child)
-                lines.append("  %s -> %s;" % (nid, cid))
-        return nid
-
-    walk(d)
-    lines.append("}")
-    return "\n".join(lines)
+            todo = [(child, (nid, ";")) for child in node.children()]
+        stack += todo[::-1]
+    yield "}"
 
 
 # ---------------------------------------------------------------------------

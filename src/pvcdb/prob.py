@@ -13,7 +13,11 @@ distributions of independent or mutually exclusive children:
   fewer than every pair;
 * :func:`sum_fold` gives the distribution of ``x_1 + ... + x_n`` for
   independent integer-valued ``x_i`` in one list of floats indexed by
-  value, when that list is no wider than the pairwise work warrants;
+  value, when that list is no wider than the pairwise work warrants
+  (the caller orders the summands: ascending spans keep it narrowest);
+* :func:`boolean_fold` gives ``x_1 or ... or x_n`` or
+  ``x_1 and ... and x_n`` in one loop that carries the mass at 0 and
+  at 1;
 * :func:`extreme_convolve` gives ``min(x, y)`` or ``max(x, y)`` in one
   merge of the two sorted supports;
 * :func:`compare_convolve` gives the distribution of ``[x theta y]``
@@ -237,6 +241,38 @@ def sum_fold(dists):
     return Distribution._sorted(
         (base + k, m) for k, m in enumerate(acc) if m > PRUNE_EPS
     )
+
+
+def boolean_fold(dists, disjunction):
+    """Distribution of ``x_1 or ... or x_n`` when ``disjunction``, else
+    ``x_1 and ... and x_n``, for independent semiring values x_i ~ dists
+    (0 is false, any other value true).
+
+    One loop carries the mass at 0 and the mass at 1 of the fold so far:
+    the disjunction is 0 only when both sides are, and the conjunction
+    is 1 only when both sides are, so this is the merge of
+    :func:`extreme_convolve` on {0, 1}, with no ``total - part``
+    difference to leave a rounding residue.  Sub-normalised inputs give
+    a result of mass the product of theirs.
+    """
+    lo, hi = (1.0, 0.0) if disjunction else (0.0, 1.0)
+    for d in dists:
+        z = t = 0.0
+        for v, p in d.entries:
+            if v:
+                t += p
+            else:
+                z += p
+        if disjunction:
+            lo, hi = lo * z, hi * (z + t) + lo * t
+        else:
+            lo, hi = lo * (z + t) + hi * z, hi * t
+    entries = []
+    if lo > PRUNE_EPS:
+        entries.append((0, lo))
+    if hi > PRUNE_EPS:
+        entries.append((1, hi))
+    return Distribution._sorted(entries)
 
 
 def extreme_convolve(p, q, largest):

@@ -464,6 +464,34 @@ class TestSubcommands:
         assert cli.main(["prob", "--expr", expr, "--probs", str(probs)], out=out) == 0
         assert out.getvalue() == "0\t1\n"
 
+    def test_deep_tree_dump_fits_the_default_recursion_limit(self, tmp_path):
+        # The same thousand-level chain, printed: the dumps keep their
+        # own stacks and write line by line, since shared subtrees are
+        # printed under every parent and the text outgrows the tree.
+        n = 1000
+        probs = tmp_path / "p.tsv"
+        probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n)))
+        expr = "[%s != 0] * [min{%s} >= 25]" % (
+            " + ".join("x%d" % i for i in range(n)),
+            " + ".join("x%d(x)%d" % (i, i % 50) for i in range(n)),
+        )
+
+        class Head:
+            """Keeps the first line and counts the rest."""
+
+            def __init__(self):
+                self.first, self.lines = None, 0
+
+            def write(self, text):
+                if self.first is None:
+                    self.first = text
+                self.lines += text.count("\n")
+
+        out = Head()
+        argv = ["dtree", "dump", "--expr", expr, "--probs", str(probs)]
+        assert cli.main(argv, out=out) == 0
+        assert out.first == "|_|x0\n" and out.lines > 2 * n
+
     def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

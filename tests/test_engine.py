@@ -357,12 +357,10 @@ class TestGroupedJointSweep:
                             marginal[value[0]] = marginal.get(value[0], 0.0) + p
                         _assert_close(dict(row.annotation.entries), marginal, context)
 
-    @pytest.mark.parametrize("n", [64, 400, 1000])
-    @pytest.mark.parametrize("agg", ["min", "max"])
-    def test_single_group_joint_fits_the_budget(self, agg, n):
-        # The case-split chain is one mutex level per row; neither
-        # compilation nor the distribution walk may meet the default
-        # recursion limit.
+    @staticmethod
+    def _single_group(agg, n):
+        """One group of n coin-flip rows with values 0..50, and the
+        grouped ``agg`` query over it."""
         rng = random.Random(64)
         r = PvcTable("R", ("g", "v"), (CONST, CONST))
         probs = [rng.uniform(0.05, 0.3) for _ in range(n)]
@@ -371,7 +369,16 @@ class TestGroupedJointSweep:
             r.add_row((0, values[i]), Var("x%d" % i))
         dists = {"x%d" % i: coin(probs[i]) for i in range(n)}
         db = PvcDatabase([r], dists, B)
-        plan = cli.parse_query("agg[g; m<-%s(v)](R)" % agg)
+        return db, probs, values, cli.parse_query("agg[g; m<-%s(v)](R)" % agg)
+
+    @pytest.mark.parametrize("n", [64, 400, 1000])
+    @pytest.mark.parametrize("agg", ["min", "max"])
+    def test_single_group_joint_fits_the_budget(self, agg, n):
+        # The case-split chain is one mutex level per row; neither
+        # compilation nor the distribution walk may meet the default
+        # recursion limit.
+        db, probs, values, plan = self._single_group(agg, n)
+        dists = db.var_dists
         _, answers = answer_distributions(plan, db, node_budget=10000)
         # Closed form: the extreme value is v when no row beyond v and
         # some row at v is present; an empty group is absent.
@@ -394,6 +401,24 @@ class TestGroupedJointSweep:
         # a present row decides the cell: one mutex node per row, and
         # one product and one leaf per distinct value.
         assert dtree.node_count(jtree) <= n + 2 * len(set(values)) + 3
+
+    def test_deep_joint_validates_and_reads_back(self):
+        # The 1,000-level case-split chain, checked and evaluated under
+        # the default recursion limit: both walks keep their own stacks.
+        n = 1000
+        db, _, _, plan = self._single_group("min", n)
+        (cells, phi), = evaluate(plan, db).rows
+        jtree = dtree.compile_joint([phi, cells[1]], db.var_dists, B, node_budget=10000)
+        assert dtree.validate(jtree, db.var_dists)
+        assert len(jtree.vars()) == n
+        rng = random.Random(7)
+        for nu in (
+            {"x%d" % i: 0 for i in range(n)},
+            {"x%d" % i: 1 for i in range(n)},
+            *({"x%d" % i: int(rng.random() < 0.01) for i in range(n)} for _ in range(5)),
+        ):
+            want = (phi.eval(nu, B), cells[1].eval(nu, B))
+            assert dtree.eval_dtree(jtree, nu, B) == want
 
 
 def _join_db(seed, sk=B, rows=6):
