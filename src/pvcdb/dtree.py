@@ -931,16 +931,11 @@ def validate(d, var_dists=None):
     return True
 
 
-def dump_tree(d, indent=0):
-    """Indented textual rendering (:func:`tree_lines`)."""
-    return "\n".join(tree_lines(d, indent))
-
-
-def tree_lines(d, indent=0):
-    """The lines of :func:`dump_tree`, one per node and mutex branch, as
-    they are made; a shared subtree is printed under each of its
+def tree_lines(d):
+    """Indented textual rendering, one line per node and mutex branch,
+    yielded as it is made; a shared subtree is printed under each of its
     parents.  The walk keeps its own stack of nodes and ready lines."""
-    stack = [(d, indent)]
+    stack = [(d, 0)]
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -959,17 +954,11 @@ def tree_lines(d, indent=0):
         stack += todo[::-1]
 
 
-def dump_dot(d):
-    """Graph description (DOT digraph) for external rendering
-    (:func:`dot_lines`)."""
-    return "\n".join(dot_lines(d))
-
-
 def dot_lines(d):
-    """The lines of :func:`dump_dot`, as they are made; a shared subtree
-    is drawn under each of its parents.  Nodes are numbered in
-    pre-order, and the edge into a node follows the lines of its
-    subtree."""
+    """Graph description (DOT digraph) for external rendering, yielded
+    line by line; a shared subtree is drawn under each of its parents.
+    Nodes are numbered in pre-order, and the edge into a node follows
+    the lines of its subtree."""
     yield "digraph dtree {"
     yield "  node [shape=box];"
     counter = itertools.count()

@@ -465,9 +465,10 @@ class TestSubcommands:
         assert out.getvalue() == "0\t1\n"
 
     def test_deep_tree_dump_fits_the_default_recursion_limit(self, tmp_path):
-        # The same thousand-level chain, printed: the dumps keep their
-        # own stacks and write line by line, since shared subtrees are
-        # printed under every parent and the text outgrows the tree.
+        # The same thousand-level chain, printed: the dump keeps its own
+        # stack and writes line by line.  The sink follows the first
+        # root-to-leaf descent, a thousand case splits of four spaces
+        # each, and stops the dump at its leaf.
         n = 1000
         probs = tmp_path / "p.tsv"
         probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n)))
@@ -476,21 +477,27 @@ class TestSubcommands:
             " + ".join("x%d(x)%d" % (i, i % 50) for i in range(n)),
         )
 
-        class Head:
-            """Keeps the first line and counts the rest."""
+        class Leaf(Exception):
+            pass
+
+        class Descent:
+            """Keeps the lines up to the first that is less indented."""
 
             def __init__(self):
-                self.first, self.lines = None, 0
+                self.lines, self.depth = [], 0
 
             def write(self, text):
-                if self.first is None:
-                    self.first = text
-                self.lines += text.count("\n")
+                depth = len(text) - len(text.lstrip(" "))
+                if depth < self.depth:
+                    raise Leaf
+                self.lines.append(text)
+                self.depth = depth
 
-        out = Head()
+        out = Descent()
         argv = ["dtree", "dump", "--expr", expr, "--probs", str(probs)]
-        assert cli.main(argv, out=out) == 0
-        assert out.first == "|_|x0\n" and out.lines > 2 * n
+        with pytest.raises(Leaf):
+            cli.main(argv, out=out)
+        assert out.lines[0] == "|_|x0\n" and out.depth >= 4 * n
 
     def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

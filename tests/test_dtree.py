@@ -861,8 +861,8 @@ class TestDumps:
     def test_text_and_dot(self):
         expr = parse_expr("sum{a*(b + c)(x)10 + c(x)20}")
         tree = dtree.compile(expr, FIG_DISTS, N)
-        text = dtree.dump_tree(tree)
+        text = "\n".join(dtree.tree_lines(tree))
         assert "|_|c" in text
-        dot = dtree.dump_dot(tree)
+        dot = "\n".join(dtree.dot_lines(tree))
         assert dot.startswith("digraph") and "->" in dot
         assert node_count(tree) >= 5
