@@ -10,10 +10,11 @@ mutex nodes.
 
 The compiler applies rules in a fixed order: constant folding, then an
 independent-sum split, an independent-product split, an independent
-scaling split, an independent comparison split, and finally a mutex
-expansion.  It splits on the variable with most occurrences, except in a
-MIN or MAX sum with a clause of one variable, where that variable goes
-first (the unit rule, :func:`choose_branch_variable`).  The independence
+scaling split, an independent comparison split, a joint-sum split, and
+finally a mutex expansion.  It splits on the variable with most
+occurrences, except in a MIN or MAX sum with a clause of one variable,
+where that variable goes first (the unit rule,
+:func:`choose_branch_variable`).  The independence
 splits work on the flattened source form: summands are grouped by
 connected components of their variable-overlap graph, products by
 components of their factors, and a sum of products is factored by the
@@ -43,26 +44,42 @@ convolve pairwise.
 
 One compiler (:class:`_Compiler`) builds every tree.  The joint of
 several expressions, such as a row's annotation and its aggregate cells
-(:func:`compile_joint`), is a tuple of (index, expression) pairs that
-compiles like one expression, through the same memo and case splits:
-it splits into a :class:`JointProduct` of its variable-disjoint groups,
-each group of one expression compiled as a scalar, or else on the
-variable that :func:`choose_branch_variable` picks over all its
-expressions, so the unit rule steers joints too.  The compiler,
+(:func:`compile_joint`), is a tuple of expressions that compiles like
+one expression, through the same memo and case splits.
+
+Before it splits a case, the compiler reads a joint, or a product of
+comparisons, as sums (:meth:`_Compiler._joint_sum`): a sum is a *slot*,
+a comparison of a sum with a constant compares a slot, and a product of
+such comparisons multiplies them; in a joint, an expression of any
+other shape is a slot of its own, whole.  The terms of all slots are
+grouped by shared variables.  Two or more groups, or one group of one
+variable, make one :class:`JointSumNode`, the paper's independent sum taken over a tuple
+of semiring and semimodule sums, with a child per group: a leaf where
+the group has one variable, whose partial sums are evaluated at each of
+its values, else the group's tuple of partial sums, compiled by the same
+compiler.  Its distribution folds the children slot by slot, each slot
+with its own sum, and applies the comparisons at the end.  A compared
+slot whose outcome classes are closed under its sum (MIN and MAX against
+any bound, the other sums against 0) carries the class instead of the
+value (:func:`_side`), so its support stays at most three values.  The
+joint of a grouped aggregate over independent tuples,
+``([phi_1 + ... != 0], min{phi_1 (x) v_1 + ...})``, with or without a
+selection on it, is one such node with a leaf per row, compiled and
+folded in linear time.  Variable-disjoint whole expressions are the
+case of one slot per expression; so is a joint of one expression, or
+one with constant expressions, whose terms form one group: its other
+expressions compile as one scalar or a smaller joint.
+
+A joint whose terms form one group splits into cases on the variable
+that :func:`choose_branch_variable` picks over all its expressions, so
+the unit rule steers joints too.  A mutex branch substitutes one value
+for its variable, and substitution folds every comparison that the
+remaining values already decide (:func:`pvcdb.algebra.make_cmp`), so no
+branch splits on a variable that can no longer change its result; the
+sums left may then fall apart into groups.  The compiler,
 :func:`distribution`, :func:`eval_dtree`, :meth:`DNode.vars` (hence
 :func:`validate`) and the dumps all walk with an explicit stack, so a
 deep case-split chain does not meet Python's recursion limit.
-
-A mutex branch substitutes one value for its variable, and substitution
-folds every comparison that the remaining values already decide
-(:func:`pvcdb.algebra.make_cmp`), so no branch splits on a variable
-that can no longer change its result.  For a grouped MIN or MAX over
-independent tuples this makes joint compilation polynomial: once one
-row is present, the group's presence conditional ``[phi_1 + ... != 0]``
-folds to 1 and splits off from the cell, so the case splits form one
-chain, linear in the group's rows.  The unit rule takes the rows in the
-order of their values, so a present row also decides the cell, and
-the cases where a row is present end in one shared subtree per value.
 
 Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
 constant for this: it keeps the terms that can decide the comparison
@@ -107,6 +124,7 @@ from .errors import (
     WrongMonoid,
 )
 from .prob import (
+    PRUNE_EPS,
     Distribution,
     boolean_fold,
     compare_convolve,
@@ -277,30 +295,78 @@ class MutexNode(DNode):
         return "|_|%s" % self.var
 
 
-class JointProduct(DNode):
-    """Combines variable-disjoint parts of a joint tree; the joint
-    distribution of independent parts is the product of their
-    distributions.
+class JointSumNode(DNode):
+    """Independent sum, slot by slot, of the partial sums of one or more
+    expressions; the node's value is one expression's value, or the tuple
+    of several's.
 
-    ``indices[k]`` are the positions, ascending, of the expressions that
-    ``parts[k]`` covers: one position for a scalar tree, whose values
-    are scalars, several for a joint tree, whose values are tuples in
-    the order of its positions.  The node's values are tuples ordered by
-    position.
+    The expressions read *slots*: sums, each folded with its own
+    ``pluses[k]`` from ``start[k]``.  ``outputs[j]`` gives expression j as
+    a product of factors ``(k, theta, against)``, each ``[slot k theta
+    against]``, or one factor ``(k, None, None)`` for slot k's value.
+    Child i adds its partial sums to the slots ``places[i]``: a tuple for
+    several places, a scalar for one, and through ``tables[i]``, when
+    that is not None, from the value of the variable of a leaf.  A slot
+    with a bound in ``bounds`` carries the outcome class of its value
+    against that bound instead of the value; ``idle[k]`` is what adds
+    nothing to slot k.  A slot of ``plus`` None holds one whole
+    expression, which one child or ``start`` sets.
     """
 
-    __slots__ = ("parts", "indices")
+    __slots__ = (
+        "parts", "places", "tables", "pluses", "bounds", "idle", "start", "outputs", "scalar"
+    )
 
-    def __init__(self, parts, indices):
+    def __init__(self, parts, places, tables, pluses, bounds, idle, start, outputs, scalar):
         super().__init__()
         self.parts = tuple(parts)
-        self.indices = indices
+        self.places = places
+        self.tables = tables
+        self.pluses = pluses
+        self.bounds = bounds
+        self.idle = idle
+        self.start = start
+        self.outputs = outputs
+        self.scalar = scalar
 
     def children(self):
         return self.parts
 
+    def partials(self, i, value):
+        """What child i adds to its places when its value is ``value``."""
+        if self.tables[i] is not None:
+            return self.tables[i][value]
+        places = self.places[i]
+        return _lifted(self.bounds, places, value if len(places) > 1 else (value,))
+
+    def add(self, slots, places, partials):
+        new = list(slots)
+        for k, v in zip(places, partials):
+            plus = self.pluses[k]
+            new[k] = v if plus is None else plus(new[k], v)
+        return tuple(new)
+
+    def read(self, slots):
+        """The node's value once every child has added to ``slots``."""
+        out = [
+            slots[factors[0][0]]
+            if factors[0][1] is None
+            else 1 if all(alg.compare(slots[k], c, theta) for k, theta, c in factors) else 0
+            for factors in self.outputs
+        ]
+        return out[0] if self.scalar else tuple(out)
+
     def label(self):
-        return "joint(x)"
+        """``(+)<...>`` with each expression read off slots s0, s1, ..."""
+        return "(+)<%s>" % ", ".join(
+            "*".join(
+                "s%d" % k
+                if theta is None
+                else "[s%d %s %s]" % (k, theta, c if self.bounds[k] is None else self.bounds[k])
+                for k, theta, c in factors
+            )
+            for factors in self.outputs
+        )
 
 
 def _unique_nodes(d):
@@ -565,12 +631,12 @@ class _Compiler:
         """An expression, or each of a joint's, with ``value`` for ``x``."""
         done = self.substitutions.setdefault((x, value), {})
         if type(item) is tuple:
-            return tuple((i, alg.substitute(e, x, value, done)) for i, e in item)
+            return tuple(alg.substitute(e, x, value, done) for e in item)
         return alg.substitute(item, x, value, done)
 
     def compile(self, item):
         """The tree of an expression, or the joint tree of a tuple of
-        (index, expression) pairs.
+        expressions.
 
         Equal inputs recur across mutex branches; compiling each once
         turns the tree into a DAG without changing any distribution.
@@ -588,8 +654,8 @@ class _Compiler:
             t = type(item)
             if t is list:  # [key, make, arg, n]: its n trees are on top of done
                 key, make, arg, n = item
-                node = memo[key] = make(done[-n:], arg)
-                del done[-n:]
+                node = memo[key] = make(done[len(done) - n :], arg)
+                del done[len(done) - n :]
                 done.append(node)
                 continue
             key = ("k", item.value) if t is Const or t is MConst else item
@@ -616,17 +682,16 @@ class _Compiler:
         to compile first, and ``make(trees, arg)`` builds the node from
         their trees.
 
-        A joint is a product of its variable-disjoint groups, each group
-        of one expression compiled as a scalar; a joint of one group, like
-        an expression that no independence split applies to, splits into
-        cases.
+        A joint, and a product of comparisons of sums, whose sums fall
+        apart term by term is a :class:`JointSumNode`
+        (:meth:`_joint_sum`); a joint that does not, like an expression
+        that no independence split applies to, splits into cases.
         """
         if type(item) is tuple:
-            groups = connected_groups([(pair, pair[1].mask) for pair in item])
-            if len(groups) > 1 or len(item) == 1:
-                indices = tuple(tuple(i for i, _ in g) for g in groups)
-                return JointProduct, indices, [g[0][1] if len(g) == 1 else tuple(g) for g in groups]
-            exprs = [e for _, e in item]
+            node = self._joint_sum(item)
+            if node is not None:
+                return node
+            exprs = item
         else:
             semiring = isinstance(item, Expr)
             if not semiring and not isinstance(item, MExpr):
@@ -650,10 +715,163 @@ class _Compiler:
                 pair = split_scale(item)
                 if pair is not None:
                     return _scale_node, item.kind, pair
+            node = self._joint_sum(item)
+            if node is not None:
+                return node
             exprs = (item,)
         x = choose_branch_variable(*exprs)
         entries = self.dist_of(x).entries
         return _mutex_node, (x, entries), [self.substitute(item, x, v) for v, _ in entries]
+
+    def _joint_sum(self, item):
+        """A :class:`JointSumNode` for a joint, or for a product of
+        comparisons of sums, as ``(make, arg, children)``, or None.
+
+        The terms of every sum are grouped by shared variables.  Two or
+        more groups, or one of one variable, make the node, with one
+        child per group.  Otherwise a joint of one expression, or one with
+        constant expressions, makes the node of its whole expressions, as
+        the scalar or smaller joint of the others.
+        """
+        if type(item) is tuple:
+            node = self._sum_node(item, [_factors(e) for e in item], False)
+            if node is None and (len(item) == 1 or not all(e.mask for e in item)):
+                node = self._sum_node(item, [None] * len(item), False, True)
+            return node
+        if type(item) is Mul:
+            factors = _factors(item)
+            if factors is not None:
+                return self._sum_node((item,), [factors], True)
+        return None
+
+    def _sum_node(self, exprs, forms, scalar, always=False):
+        """The node over ``exprs``, read as ``forms`` (:func:`_factors`,
+        or None for a whole expression), if the terms of their sums fall
+        into two or more groups with variables, or one of one variable,
+        else None, unless ``always``.  Terms without variables add to the
+        sums' start; a whole expression without variables is a leaf of
+        its own."""
+        sk = self.sk
+        kinds, pluses, bounds, idle, start, outputs, keyed = [], [], [], [], [], [], []
+        for expr, factors in zip(exprs, forms):
+            out = []
+            for s, theta, bound in factors or ((expr, None, None),):
+                k = len(pluses)
+                kind = s.kind if isinstance(s, MExpr) else None
+                lift = factors is not None and theta is not None and (
+                    kind in _EXTREMES or bound == 0
+                )
+                if factors is None:  # one term, set once
+                    plus, first, terms = None, None, (s,)
+                else:
+                    first = 0 if kind is None else kind.neutral
+                    if lift:
+                        plus, first = _CLASS_PLUS.get(kind, max), _side(first, bound)
+                    else:
+                        plus = sk.add if kind is None else _SLOT_PLUS[kind]
+                    terms = alg.sum_parts(s)
+                idle.append(first)
+                for t in terms:
+                    if t.mask or plus is None:
+                        keyed.append(((k, t), t.mask))
+                    else:
+                        v = t.eval({}, sk)
+                        first = plus(first, _side(v, bound) if lift else v)
+                kinds.append(kind)
+                pluses.append(plus)
+                bounds.append(bound if lift else None)
+                start.append(first)
+                out.append((k, theta, 0 if lift else bound))
+            outputs.append(tuple(out))
+        groups = connected_groups(keyed)
+        masks = [functools.reduce(operator.or_, [t.mask for _, t in g]) for g in groups]
+        varying = [mask for mask in masks if mask]
+        if not always and len(varying) < 2 and not (varying and _one_bit(varying[0])):
+            return None
+        children, places, tables = [], [], []
+        for group, mask in zip(groups, masks):
+            by_slot = {}
+            for k, t in group:
+                by_slot.setdefault(k, []).append(t)
+            ks = tuple(sorted(by_slot))
+            partial = [
+                by_slot[k][0] if pluses[k] is None else alg.rebuild_sum(by_slot[k], kinds[k])
+                for k in ks
+            ]
+            places.append(ks)
+            if mask and _one_bit(mask):  # one variable: a leaf and a table
+                name = next(iter(group[0][1].vars()))
+                children.append(Var(name))
+                tables.append(
+                    {
+                        v: _lifted(bounds, ks, [s.eval({name: v}, sk) for s in partial])
+                        for v in self.dist_of(name).support
+                    }
+                )
+            else:
+                children.append(partial[0] if len(ks) == 1 else tuple(partial))
+                tables.append(None)
+        arg = (places, tables, pluses, bounds, idle, tuple(start), outputs, scalar)
+        return _joint_sum_node, arg, children
+
+
+#: The sum of a slot's partial values, by monoid; the semiring's is its own.
+_SLOT_PLUS = {
+    MonoidKind.MIN: min,
+    MonoidKind.MAX: max,
+    MonoidKind.SUM: alg.checked_add,
+    MonoidKind.COUNT: alg.checked_add,
+    MonoidKind.PROD: MonoidKind.PROD.plus,
+}
+
+#: The sum of outcome classes (:func:`_side`), by monoid: the class of a
+#: MIN or MAX against any bound is the least or greatest of the classes
+#: of its parts.  A semiring sum, SUM, COUNT or PROD has classes closed
+#: under the sum only against 0, where PROD is 0 when a part is and the
+#: others are 0 when all parts are (``max``, the default).
+_CLASS_PLUS = {MonoidKind.MIN: min, MonoidKind.MAX: max, MonoidKind.PROD: min}
+
+_EXTREMES = (MonoidKind.MIN, MonoidKind.MAX)
+
+_SUMS = (Var, Add, Scaled, MSum)
+_CONSTS = (Const, MConst)
+
+
+def _factors(expr):
+    """An expression as factors ``(sum, theta, bound)``, of which it is
+    the product: a sum is one factor of theta None, a comparison of a
+    sum with a constant one factor, a product of such comparisons one
+    each.  None for any other expression."""
+    t = type(expr)
+    if t in _SUMS:
+        return [(expr, None, None)]
+    out = []
+    for f in expr.parts if t is Mul else (expr,):
+        if type(f) is not Cmp:
+            return None
+        left, theta, right = f.left, f.theta, f.right
+        if type(left) in _CONSTS:
+            left, theta, right = right, _MIRROR[theta], left
+        if type(left) not in _SUMS or type(right) not in _CONSTS:
+            return None
+        out.append((left, theta, right.value))
+    return out
+
+
+def _one_bit(mask):
+    return not mask & (mask - 1)
+
+
+def _lifted(bounds, places, values):
+    """Partial sums at ``places`` as their slots carry them: the outcome
+    class (:func:`_side`) where the slot has a bound."""
+    return tuple(
+        v if bounds[k] is None else _side(v, bounds[k]) for k, v in zip(places, values)
+    )
+
+
+def _joint_sum_node(children, arg):
+    return JointSumNode(children, *arg)
 
 
 def _prod_node(parts, _):
@@ -687,11 +905,11 @@ def compile_joint(exprs, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
     """Compile several expressions over one variable universe into a
     single tree whose distribution ranges over value tuples.
 
-    The tuple of (index, expression) pairs compiles like one expression:
-    case splits proceed until the expressions fall apart into
-    variable-disjoint groups, which then combine by product.
+    The tuple of expressions compiles like one expression: the terms of
+    its sums split into independent groups (:class:`JointSumNode`), and
+    case splits proceed where they share variables.
     """
-    return _Compiler(var_dists, sk, node_budget).compile(tuple(enumerate(exprs)))
+    return _Compiler(var_dists, sk, node_budget).compile(tuple(exprs))
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +961,8 @@ def _distribution(d, sk, memo):
         return Distribution.point(d.value)
     if isinstance(d, CmpNode):
         return compare_convolve(memo[id(d.left)], memo[id(d.right)], d.theta)
-    if isinstance(d, JointProduct):
-        return _joint_product_dist(d, memo)
+    if isinstance(d, JointSumNode):
+        return _joint_sum_dist(d, memo)
     raise TypeError("not a d-tree node: %r" % (d,))
 
 
@@ -822,19 +1040,28 @@ def _fold(d, sk, memo):
     return acc
 
 
-def _joint_product_dist(d, memo):
-    slot = {i: k for k, i in enumerate(sorted(i for idx in d.indices for i in idx))}
-    places = [[slot[i] for i in idx] for idx in d.indices]
-    entries = []
-    for combo in itertools.product(*(memo[id(c)].entries for c in d.parts)):
-        prob = 1.0
-        values = [None] * len(slot)
-        for place, (value, p) in zip(places, combo):
-            prob *= p
-            for k, v in zip(place, value if len(place) > 1 else (value,)):
-                values[k] = v
-        entries.append((tuple(values), prob))
-    return Distribution.from_pairs(entries)
+def _joint_sum_dist(d, memo):
+    """Fold the children of a joint-sum node slot by slot into one
+    distribution over the slots, then read the node's values off it.
+    A child's values that add only the sums' neutral elements keep every
+    entry as it is, with their mass pooled."""
+    acc = {d.start: 1.0}
+    for i, (child, places) in enumerate(zip(d.parts, d.places)):
+        idle = tuple(d.idle[k] for k in places)
+        rows, still = [], 0.0
+        for v, q in memo[id(child)].entries:
+            partials = d.partials(i, v)
+            if partials == idle:
+                still += q
+            else:
+                rows.append((partials, q))
+        nxt = {slots: p * still for slots, p in acc.items()} if still else {}
+        for slots, p in acc.items():
+            for partials, q in rows:
+                key = d.add(slots, places, partials)
+                nxt[key] = nxt.get(key, 0.0) + p * q
+        acc = {key: m for key, m in nxt.items() if m > PRUNE_EPS}
+    return Distribution.from_pairs((d.read(slots), p) for slots, p in acc.items())
 
 
 def eval_dtree(d, nu, sk=SemiringKind.BOOLEAN):
@@ -890,11 +1117,11 @@ def _eval_node(d, nu, sk, values):
         return 1 if alg.compare(values[0], values[1], d.theta) else 0
     if isinstance(d, MutexNode):
         return values[0]
-    if isinstance(d, JointProduct):
-        out = {}
-        for idx, sub in zip(d.indices, values):
-            out.update(zip(idx, sub if len(idx) > 1 else (sub,)))
-        return tuple(out[i] for i in sorted(out))
+    if isinstance(d, JointSumNode):
+        slots = d.start
+        for i, value in enumerate(values):
+            slots = d.add(slots, d.places[i], d.partials(i, value))
+        return d.read(slots)
     raise TypeError("not a d-tree node: %r" % (d,))
 
 
@@ -907,7 +1134,7 @@ def validate(d, var_dists=None):
     support.  Raises ValueError on the first violation.
     """
     for node in _unique_nodes(d):
-        if isinstance(node, (SumNode, ProdNode, ScaleNode, CmpNode, JointProduct)):
+        if isinstance(node, (SumNode, ProdNode, ScaleNode, CmpNode, JointSumNode)):
             seen = set()
             for child in node.children():
                 shared = seen & child.vars()
@@ -1115,8 +1342,15 @@ def _outcome_class(value, theta, bound):
     extreme fired value m is ``value``: the truth of the comparison, or
     below/equal/above for ``=`` and ``!=``."""
     if theta in ("=", "!="):
-        return (value > bound) - (value < bound)
+        return _side(value, bound)
     return alg.compare(value, bound, theta)
+
+
+def _side(value, bound):
+    """-1, 0 or 1 as ``value`` lies below, at or above ``bound``: the
+    classes that decide ``[value theta bound]`` for every theta, as
+    ``[_side(value, bound) theta 0]``."""
+    return (value > bound) - (value < bound)
 
 
 def _class_representatives(terms, kind, theta, bound):

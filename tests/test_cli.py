@@ -449,20 +449,33 @@ class TestSubcommands:
         assert err.startswith("error: exceeded the interpreter's recursion limit (")
         assert err.count("\n") == 1
 
+    @staticmethod
+    def _chain(tmp_path, levels):
+        """A MIN over a path of rows: ``x_i (x) i`` for each row and
+        ``x_i*x_i+1 (x) n`` for each pair of neighbours.  The pairs keep
+        the rows one group, and the unit rule splits on the rows in order
+        of value: where x_i is 1 the sum is i, where it is 0 the path
+        loses one row.  So the case splits form one chain, a level per
+        row but the last."""
+        n = levels + 1
+        probs = tmp_path / "p.tsv"
+        probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n)))
+        expr = "min{%s + %s}" % (
+            " + ".join("x%d*x%d(x)%d" % (i, i + 1, n) for i in range(n - 1)),
+            " + ".join("x%d(x)%d" % (i, i) for i in range(n)),
+        )
+        return expr, str(probs)
+
     def test_deep_case_split_chain_fits_the_default_recursion_limit(self, tmp_path):
         # A chain of case splits one variable deep each, a thousand
         # levels: compilation and the distribution walk keep their own
         # stacks.
-        n = 1000
-        probs = tmp_path / "p.tsv"
-        probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n)))
-        expr = "[%s != 0] * [min{%s} >= 25]" % (
-            " + ".join("x%d" % i for i in range(n)),
-            " + ".join("x%d(x)%d" % (i, i % 50) for i in range(n)),
-        )
+        expr, probs = self._chain(tmp_path, 1000)
         out = io.StringIO()
-        assert cli.main(["prob", "--expr", expr, "--probs", str(probs)], out=out) == 0
-        assert out.getvalue() == "0\t1\n"
+        assert cli.main(["prob", "--expr", expr, "--probs", probs], out=out) == 0
+        # The sum is i when rows 0..i-1 are absent and row i is present;
+        # masses from i = 50 on are at most PRUNE_EPS.
+        assert out.getvalue() == "".join("%d\t%.12g\n" % (i, 0.5 ** (i + 1)) for i in range(49))
 
     def test_deep_tree_dump_fits_the_default_recursion_limit(self, tmp_path):
         # The same thousand-level chain, printed: the dump keeps its own
@@ -470,12 +483,7 @@ class TestSubcommands:
         # root-to-leaf descent, a thousand case splits of four spaces
         # each, and stops the dump at its leaf.
         n = 1000
-        probs = tmp_path / "p.tsv"
-        probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n)))
-        expr = "[%s != 0] * [min{%s} >= 25]" % (
-            " + ".join("x%d" % i for i in range(n)),
-            " + ".join("x%d(x)%d" % (i, i % 50) for i in range(n)),
-        )
+        expr, probs = self._chain(tmp_path, n)
 
         class Leaf(Exception):
             pass
@@ -494,7 +502,7 @@ class TestSubcommands:
                 self.depth = depth
 
         out = Descent()
-        argv = ["dtree", "dump", "--expr", expr, "--probs", str(probs)]
+        argv = ["dtree", "dump", "--expr", expr, "--probs", probs]
         with pytest.raises(Leaf):
             cli.main(argv, out=out)
         assert out.lines[0] == "|_|x0\n" and out.depth >= 4 * n

@@ -820,7 +820,7 @@ class TestCompileJoint:
         assert set(got.support) == set(acc)
         for key, mass in acc.items():
             assert got[key] == pytest.approx(mass, abs=1e-12)
-        assert dtree.node_count(tree) == 28
+        assert dtree.node_count(tree) == 20
 
 
 class TestValidator:

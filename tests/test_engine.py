@@ -358,7 +358,7 @@ class TestGroupedJointSweep:
                         _assert_close(dict(row.annotation.entries), marginal, context)
 
     @staticmethod
-    def _single_group(agg, n):
+    def _single_group(agg, n, sk=B):
         """One group of n coin-flip rows with values 0..50, and the
         grouped ``agg`` query over it."""
         rng = random.Random(64)
@@ -368,15 +368,14 @@ class TestGroupedJointSweep:
         for i in range(n):
             r.add_row((0, values[i]), Var("x%d" % i))
         dists = {"x%d" % i: coin(probs[i]) for i in range(n)}
-        db = PvcDatabase([r], dists, B)
+        db = PvcDatabase([r], dists, sk)
         return db, probs, values, cli.parse_query("agg[g; m<-%s(v)](R)" % agg)
 
     @pytest.mark.parametrize("n", [64, 400, 1000])
     @pytest.mark.parametrize("agg", ["min", "max"])
     def test_single_group_joint_fits_the_budget(self, agg, n):
-        # The case-split chain is one mutex level per row; neither
-        # compilation nor the distribution walk may meet the default
-        # recursion limit.
+        # A thousand rows: neither compilation nor the distribution walk
+        # may meet the default recursion limit.
         db, probs, values, plan = self._single_group(agg, n)
         dists = db.var_dists
         _, answers = answer_distributions(plan, db, node_budget=10000)
@@ -396,15 +395,30 @@ class TestGroupedJointSweep:
         table = evaluate(plan, db)
         (cells, phi), = table.rows
         jtree = dtree.compile_joint([phi, cells[1]], dists, B, node_budget=10000)
+        # Bounds of the case-split chain this joint once compiled to,
+        # one mutex node per row; the joint-sum node stays well within
+        # them (``test_single_group_joint_is_one_joint_sum``).
         assert dtree.mutex_count(jtree) <= n
-        # The unit rule splits on the rows in order of their values, so
-        # a present row decides the cell: one mutex node per row, and
-        # one product and one leaf per distinct value.
         assert dtree.node_count(jtree) <= n + 2 * len(set(values)) + 3
 
+    @pytest.mark.parametrize("n", [64, 400, 1000])
+    @pytest.mark.parametrize("agg", ["min", "max", "count"])
+    def test_single_group_joint_is_one_joint_sum(self, agg, n):
+        # Every row's variable is a component of the annotation's sum
+        # and the cell's on its own: one joint-sum node over one leaf per
+        # row, and no case split.
+        sk = N if agg == "count" else B
+        db, _, _, plan = self._single_group(agg, n, sk)
+        (cells, phi), = evaluate(plan, db).rows
+        jtree = dtree.compile_joint([phi, cells[1]], db.var_dists, sk)
+        assert isinstance(jtree, dtree.JointSumNode)
+        assert dtree.mutex_count(jtree) == 0
+        assert dtree.node_count(jtree) == n + 1
+
     def test_deep_joint_validates_and_reads_back(self):
-        # The 1,000-level case-split chain, checked and evaluated under
-        # the default recursion limit: both walks keep their own stacks.
+        # A joint over 1,000 rows, checked and evaluated under the
+        # default recursion limit: one joint-sum node with a leaf per
+        # row, and the walks over it keep their own stacks.
         n = 1000
         db, _, _, plan = self._single_group("min", n)
         (cells, phi), = evaluate(plan, db).rows
