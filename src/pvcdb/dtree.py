@@ -82,8 +82,9 @@ sums left may then fall apart into groups.  The compiler,
 deep case-split chain does not meet Python's recursion limit.
 
 Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
-constant for this: it keeps the terms that can decide the comparison
-and gives all terms of one outcome class one value.  Case splits that
+constant for this: it keeps the terms that can decide the comparison,
+gives all terms of one outcome class one value and makes a term whose
+condition is a sum of clauses one term per clause.  Case splits that
 differ only in which term of a class fired then reach equal
 sub-expressions and share one compiled subtree, and substitution
 collapses the sum, deciding the comparison, as soon as one term's
@@ -401,41 +402,50 @@ def connected_groups(keyed, pool_keyless=False):
     ``keyed`` is a sequence of (item, mask) pairs, where the set bits of
     the int ``mask`` are the item's keys.  Groups are lists of items, in
     first-occurrence order.  Items without keys each form a group of
-    their own, or with ``pool_keyless`` one group, placed last.
+    their own, or with ``pool_keyless`` one group, placed last.  Linear
+    in the keys: each key's first holder is looked up in a map, and
+    groups are joined by union-find, rooted at their first item.
     """
-    groups = {}  # first index -> [mask, indices]; groups are disjoint
-    pooled = []
     seen = 0
-    for i, (_, mask) in enumerate(keyed):
-        shared = mask & seen
+    for _, mask in keyed:
+        if mask & seen:
+            break
         seen |= mask
-        if not shared:
-            if mask or not pool_keyless:
-                groups[i] = [mask, [i]]
-            else:
-                pooled.append(i)
-            continue
-        # Merge every group that holds a shared key, newest first, until
-        # all shared keys are found.
-        hits = []
-        for g in reversed(groups.values()):
-            if g[0] & shared:
-                hits.append(g)
-                shared ^= shared & g[0]
-                if not shared:
-                    break
-        into = hits.pop()
-        for g in hits:
-            del groups[g[1][0]]
-            into[0] |= g[0]
-            into[1] += g[1]
-        into[0] |= mask
-        into[1].append(i)
-    if len(groups) == 1 and not pooled:
-        return [[item for item, _ in keyed]]
-    out = [[keyed[j][0] for j in sorted(g[1])] for g in groups.values()]
+    else:  # no key repeats: every item is a group of its own
+        if not pool_keyless:
+            return [[item] for item, _ in keyed]
+        out = [[item] for item, mask in keyed if mask]
+        pooled = [item for item, mask in keyed if not mask]
+        return out + [pooled] if pooled else out
+    # Union-find over item indices; a group's root is its first item,
+    # and every link points to an earlier item.
+    root = list(range(len(keyed)))
+    holder = {}  # key bit -> index of its first item
+    for i, (_, mask) in enumerate(keyed):
+        r = i
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            j = holder.setdefault(bit, i)
+            if j == i:
+                continue
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            if j < r:
+                root[r] = r = j
+            elif j > r:
+                root[j] = r
+    groups = {}
+    pooled = []
+    for i, (item, mask) in enumerate(keyed):
+        r = root[i] = root[root[i]]  # roots of earlier items are final
+        if mask or not pool_keyless:
+            groups.setdefault(r, []).append(item)
+        else:
+            pooled.append(item)
+    out = list(groups.values())
     if pooled:
-        out.append([keyed[j][0] for j in pooled])
+        out.append(pooled)
     return out
 
 
@@ -450,11 +460,25 @@ def split_sum(expr):
     parts = alg.sum_parts(expr)
     if len(parts) < 2:
         return None
+    if _disjoint(parts):
+        return parts
     groups = _components(parts)
     if len(groups) < 2:
         return None
     kind = expr.kind if isinstance(expr, MExpr) else None
     return [alg.rebuild_sum(g, kind) for g in groups]
+
+
+def _disjoint(parts):
+    """True when no part is constant and no two share a variable, so
+    that each part is a component of its own."""
+    seen = 0
+    for p in parts:
+        mask = p.mask
+        if not mask or mask & seen:
+            return False
+        seen |= mask
+    return True
 
 
 def _common_factors(factor_lists):
@@ -488,11 +512,19 @@ def split_product(expr):
     all summands.
     """
     if isinstance(expr, Mul):
+        if _disjoint(expr.parts):
+            return list(expr.parts)
         groups = _components(expr.parts)
         if len(groups) < 2:
             return None
         return [alg.make_product(g) for g in groups]
     if isinstance(expr, Add):
+        # Without a variable in every summand, a common factor is a
+        # constant, which the first summand must hold.
+        if not functools.reduce(operator.and_, [p.mask for p in expr.parts]) and all(
+            f.mask for f in alg.product_factors(expr.parts[0])
+        ):
+            return None
         factor_lists = [alg.product_factors(p) for p in expr.parts]
         common = _common_factors(factor_lists)
         if not common:
@@ -1291,7 +1323,12 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
     class (:func:`_outcome_class`) the extreme fired value falls in, so
     only terms outside the class of the empty sum (the monoid's neutral
     value) are kept, and their values are mapped to one representative
-    per class (:func:`_class_representatives`).  A bound that decides the
+    per class (:func:`_class_representatives`).  A kept term whose weight
+    is a sum of clauses then becomes one term per clause at the same
+    value, ``(Φ + Ψ) (x) v = Φ (x) v + Ψ (x) v``, which holds for MIN and
+    MAX in both semirings as ``k1 + k2`` is non-zero exactly when ``k1``
+    or ``k2`` is; repeated terms are dropped, as MIN and MAX are
+    idempotent.  A bound that decides the
     comparison, such as ``+inf`` for MIN ``<=``, keeps no term, and the
     conditional folds to a constant.  For SUM,
     value bounds can force the comparison outright, in which case the
@@ -1320,10 +1357,18 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
             # No remaining term can decide the comparison, so its truth
             # is that of the empty sum against the bound.
             return Const(1 if alg.compare(kind.neutral, bound, theta) else 0)
-        kept = _class_representatives(kept, kind, theta, bound)
+        # (Φ + Ψ) ⊗ v = Φ ⊗ v + Ψ ⊗ v under MIN and MAX in both
+        # semirings: one term per clause, repeats dropped (idempotence).
+        split = []
+        for t in _class_representatives(kept, kind, theta, bound):
+            if type(t) is Scaled and type(t.weight) is Add:
+                split += [alg.make_scaled(kind, c, t.value) for c in t.weight.parts]
+            else:
+                split.append(t)
+        kept = list(dict.fromkeys(split))
         if len(kept) == len(terms) and all(map(operator.is_, kept, terms)):
             return cond
-        return Cmp(alg.make_msum(kind, kept), theta, right)
+        return alg.make_cmp(alg.make_msum(kind, kept), theta, right)
     if kind in (MonoidKind.SUM, MonoidKind.COUNT):
         kept = [t for t in terms if not (isinstance(t, Scaled) and t.value == 0)]
         forced = _sum_forced(theta, kept, bound, sk, var_dists)
