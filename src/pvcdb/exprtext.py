@@ -2,13 +2,13 @@
 
 The grammar, also documented in the README::
 
-    expr    := msum | sum [ MONTAG ]
+    expr    := side [ MONTAG ]
     sum     := term ('+' term)*
     term    := product [ '(x)' mval ]
     product := factor ('*' factor)*
     factor  := NAT | VAR | '(' sum ')' | cond
     cond    := '[' side THETA side ']' [ MONTAG ]
-    side    := msum | sum-with-scaled-terms | mval
+    side    := msum | sum | mval
     msum    := MONTAG '{' mterm ('+' mterm)* '}'
     mterm   := product '(x)' mval | mval
     mval    := NAT | '+inf' | '-inf'
@@ -19,12 +19,18 @@ The grammar, also documented in the README::
 aggregation value; it is lexed as one token, so a parenthesised variable
 literally named ``x`` cannot be written as ``(x)``.  Monoid sums carry
 their aggregation monoid as a brace tag, ``min{a(x)5 + b(x)10}``; for
-convenience an untagged scaled sum may instead take the tag as a suffix,
-``[ a(x)5 + b(x)10 <= 15 ] min``.  A bare numeral opposite a semimodule
-side of a conditional is read as a monoid constant.  The printer always
+convenience an untagged sum with a scaled term or an infinite value may
+instead take the tag as a suffix, ``[ a(x)5 + b(x)10 <= 15 ] min``.  A
+suffix tag is read only where such a sum or a bare ``+inf``/``-inf``
+stands at the top or on a side of the conditional it follows; anywhere
+else it is trailing input.  A bare numeral opposite a semimodule side
+of a conditional is read as a monoid constant.  The printer always
 emits the braced form, and writes a monoid constant bare only opposite
 a monoid sum of its own kind, so printing then parsing returns the very
 node printed (expressions are interned).
+
+Parser and printer keep explicit stacks, so nesting depth is bounded
+by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -32,229 +38,208 @@ from __future__ import annotations
 import re
 
 from . import algebra as alg
-from .errors import ParseError
+from .errors import ParseError, PvcError
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)"
-    r"|(?P<inf>[+-]inf)"
-    r"|(?P<ident>" + _IDENT + r")"
-    r"|(?P<op>\(x\)|<=|>=|!=|=|<|>|\+|\*|\(|\)|\[|\]|\{|\}))"
-)
-
+_TOKEN = r"\d+|[+-]inf|" + _IDENT + r"|\(x\)|[<>!]=|[=<>+*()\[\]{}]"
+_TOKEN_RE = re.compile(_TOKEN)
+# One match per token, or per character that starts no token: such a
+# character is reported only if parsing fails.
+_SCAN_RE = re.compile(_TOKEN + r"|\S")
+_INFS = {"+inf": alg.INF, "-inf": alg.NEG_INF}
 _MONTAGS = {k.value: k for k in alg.MonoidKind}
+#: Appended after the last token; no token is whitespace.
+_END = " "
+
+# Frames: the top, the two sides of a conditional, a parenthesised sum
+# and a braced monoid sum.  A side's items are chunks, ("plain", product),
+# ("scaled", product, value) or ("plainm", infinity); a finished side is
+# ("sr", expr), ("sm", monoid sum), or ("proto", chunks) and ("mval",
+# infinity) awaiting a monoid.  A braced sum's aux is its monoid, a right
+# side's the left side, the operator and the count of tokens after it.
+_TOP, _LEFT, _RIGHT, _PAREN, _MSUM = range(5)
+# Where the parse loop stands: at the start of a frame's next element,
+# before a factor, after a factor, after an element, after a whole side.
+_ELEM, _FACTOR, _AFTER, _DONE, _SIDE = range(5)
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError("unexpected character %r" % rest[0], pos)
-        if m.group("num") is not None:
-            tokens.append(("num", int(m.group("num")), m.start("num")))
-        elif m.group("inf") is not None:
-            value = alg.INF if m.group("inf") == "+inf" else alg.NEG_INF
-            tokens.append(("inf", value, m.start("inf")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
+class _Fail(Exception):
+    """A syntax error at a token, given by the number of tokens after
+    it; :func:`parse_expr` reports it at the token's character position."""
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self, offset=0):
-        j = self.i + offset
-        if j < len(self.tokens):
-            return self.tokens[j]
-        return ("eof", None, -1)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ParseError("expected %r, found %r" % (op, value), pos)
-
-    def at_op(self, op):
-        kind, value, _ = self.peek()
-        return kind == "op" and value == op
-
-    def at_montag_brace(self):
-        kind, value, _ = self.peek()
-        nk, nv, _ = self.peek(1)
-        return kind == "ident" and value in _MONTAGS and nk == "op" and nv == "{"
-
-    def take_montag(self):
-        kind, value, _ = self.peek()
-        if kind == "ident" and value in _MONTAGS:
-            self.next()
-            return _MONTAGS[value]
+def _shown(tok):
+    """A token as error messages show it: numbers as their values, the
+    end of input as None."""
+    if tok == _END:
         return None
+    if tok.isdecimal():
+        return int(tok)
+    return _INFS.get(tok, tok)
 
-    # -- grammar ------------------------------------------------------
 
-    def parse_expr(self):
-        side = self.parse_side()
-        tag = self.take_montag()
-        expr = _resolve_side(side, tag, None, self.peek()[2])
-        if self.peek()[0] != "eof":
-            raise ParseError("trailing input %r" % (self.peek()[1],), self.peek()[2])
+def _parse(text):
+    """Parse ``text`` in one scan into tokens and one loop over them
+    with an explicit stack of the enclosing frames."""
+    # Tokens still to read, the next one last.
+    toks = _SCAN_RE.findall(text)
+    toks.append(_END)
+    toks.reverse()
+    pop = toks.pop
+    tok = pop()
+    stack = []
+    frame, items, factors, aux = _TOP, [], None, None
+    state = _ELEM
+    while True:
+        if state is _ELEM:
+            if frame is _MSUM:
+                # `5 (x) 7` scales the constant condition 5; a bare `5`
+                # is a monoid constant.
+                if tok in _INFS or tok.isdecimal() and toks[-1] not in ("(x)", "*"):
+                    items.append(alg.MConst(aux, _INFS[tok] if tok in _INFS else int(tok)))
+                    tok = pop()
+                    state = _DONE
+                    continue
+            elif frame is not _PAREN:
+                if tok in _INFS:
+                    value = _INFS[tok]
+                    tok = pop()
+                    if items:
+                        items.append(("plainm", value))
+                        state = _DONE
+                    else:
+                        side = ("mval", value)
+                        state = _SIDE
+                    continue
+                if not items and tok in _MONTAGS and toks[-1] == "{":
+                    stack.append((frame, items, factors, aux))
+                    frame, items, aux = _MSUM, [], _MONTAGS[tok]
+                    pop()
+                    tok = pop()
+                    continue
+            factors = []
+            state = _FACTOR
+        if state is _FACTOR:
+            if tok[0] in _IDENT_START:
+                factors.append(alg.Var(tok))
+            elif tok.isdecimal():
+                factors.append(alg.Const(int(tok)))
+            elif tok == "(" or tok == "[":
+                stack.append((frame, items, factors, aux))
+                frame = _PAREN if tok == "(" else _LEFT
+                items = []
+                tok = pop()
+                state = _ELEM
+                continue
+            else:
+                raise _Fail(len(toks), "expected a variable, number, '(' or '['")
+            tok = pop()
+            state = _AFTER
+        if state is _AFTER:
+            if tok == "*":
+                tok = pop()
+                state = _FACTOR
+                continue
+            product = alg.make_product(factors)
+            if frame is _PAREN:
+                items.append(product)
+            elif tok == "(x)":
+                tok = pop()
+                if tok.isdecimal():
+                    value = int(tok)
+                elif tok in _INFS:
+                    value = _INFS[tok]
+                else:
+                    raise _Fail(len(toks), "expected an aggregation value, found %r" % (_shown(tok),))
+                tok = pop()
+                if frame is _MSUM:
+                    items.append(alg.make_scaled(aux, product, value))
+                else:
+                    items.append(("scaled", product, value))
+            elif frame is _MSUM:
+                raise _Fail(len(toks), "expected '(x)', found %r" % (_shown(tok),))
+            else:
+                items.append(("plain", product))
+            state = _DONE
+        if state is _DONE:
+            if tok == "+":
+                tok = pop()
+                state = _ELEM
+                continue
+            if frame is _PAREN:
+                inner = alg.make_sum(items)
+                if tok != ")":
+                    raise _Fail(len(toks), "expected ')', found %r" % (_shown(tok),))
+                tok = pop()
+                frame, items, factors, aux = stack.pop()
+                factors.append(inner)
+                state = _AFTER
+                continue
+            if frame is _MSUM:
+                if tok != "}":
+                    raise _Fail(len(toks), "expected '}', found %r" % (_shown(tok),))
+                tok = pop()
+                side = ("sm", alg.make_msum(aux, items))
+                frame, items, factors, aux = stack.pop()
+            elif all(chunk[0] == "plain" for chunk in items):
+                side = ("sr", alg.make_sum([chunk[1] for chunk in items]))
+            else:
+                side = ("proto", items)
+            state = _SIDE
+        # A whole side: one of a conditional, or the top.
+        if frame is _LEFT:
+            if tok not in alg.THETAS:
+                raise _Fail(len(toks), "expected a comparison operator, found %r" % (_shown(tok),))
+            aux = (side, tok, len(toks))
+            frame, items = _RIGHT, []
+            tok = pop()
+            state = _ELEM
+            continue
+        if frame is _RIGHT:
+            if tok != "]":
+                raise _Fail(len(toks), "expected ']', found %r" % (_shown(tok),))
+            tok = pop()
+            left, theta, after = aux
+            tag = None
+            if (_is_proto(left) or _is_proto(side)) and tok in _MONTAGS:
+                tag = _MONTAGS[tok]
+                tok = pop()
+            cond = _make_cond(left, theta, side, tag, after)
+            frame, items, factors, aux = stack.pop()
+            factors.append(cond)
+            state = _AFTER
+            continue
+        tag = None
+        if _is_proto(side) and tok in _MONTAGS:
+            tag = _MONTAGS[tok]
+            tok = pop()
+        expr = _resolve_side(side, tag, None, len(toks))
+        if tok != _END:
+            raise _Fail(len(toks), "trailing input %r" % (_shown(tok),))
         return expr
-
-    def parse_side(self):
-        """One comparison side: a tagged monoid sum, a bare monoid value,
-        a semiring sum, or an untagged scaled sum awaiting its tag."""
-        if self.at_montag_brace():
-            return self.parse_msum()
-        kind, value, _ = self.peek()
-        if kind == "inf":
-            self.next()
-            return ("mval", value)
-        chunks = [self.parse_chunk()]
-        while self.at_op("+"):
-            self.next()
-            chunks.append(self.parse_chunk())
-        if any(tag == "scaled" for tag, *_ in chunks):
-            return ("proto", chunks)
-        return ("sr", alg.make_sum([c[1] for c in chunks]))
-
-    def parse_chunk(self):
-        """A '+'-separated piece: a product, optionally scaled."""
-        kind, value, _ = self.peek()
-        if kind == "inf":
-            self.next()
-            return ("plainm", value)
-        product = self.parse_product()
-        if self.at_op("(x)"):
-            self.next()
-            return ("scaled", product, self.parse_mval())
-        return ("plain", product)
-
-    def parse_product(self):
-        factors = [self.parse_factor()]
-        while self.at_op("*"):
-            self.next()
-            factors.append(self.parse_factor())
-        return alg.make_product(factors)
-
-    def parse_factor(self):
-        kind, value, pos = self.peek()
-        if kind == "num":
-            self.next()
-            return alg.Const(value)
-        if kind == "ident":
-            self.next()
-            return alg.Var(value)
-        if self.at_op("("):
-            self.next()
-            inner = self.parse_sum()
-            self.expect_op(")")
-            return inner
-        if self.at_op("["):
-            return self.parse_cond()
-        raise ParseError("expected a variable, number, '(' or '['", pos)
-
-    def parse_sum(self):
-        parts = [self.parse_product()]
-        while self.at_op("+"):
-            self.next()
-            parts.append(self.parse_product())
-        return alg.make_sum(parts)
-
-    def parse_cond(self):
-        self.expect_op("[")
-        left = self.parse_side()
-        kind, theta, pos = self.next()
-        if kind != "op" or theta not in alg.THETAS:
-            raise ParseError("expected a comparison operator, found %r" % (theta,), pos)
-        right = self.parse_side()
-        self.expect_op("]")
-        tag = self.take_montag() if (_is_proto(left) or _is_proto(right)) else None
-        lexpr = _resolve_side(left, tag, _side_kind(right), pos)
-        rexpr = _resolve_side(right, tag, _side_kind(lexpr, resolved=True), pos)
-        if isinstance(lexpr, alg.MExpr) and isinstance(rexpr, alg.Expr):
-            rexpr = _coerce_mconst(rexpr, lexpr.kind, pos)
-        elif isinstance(rexpr, alg.MExpr) and isinstance(lexpr, alg.Expr):
-            lexpr = _coerce_mconst(lexpr, rexpr.kind, pos)
-        return alg.Cmp(lexpr, theta, rexpr)
-
-    def parse_msum(self):
-        tag_kind, tag, _ = self.next()
-        monoid = _MONTAGS[tag]
-        self.expect_op("{")
-        terms = [self.parse_mterm(monoid)]
-        while self.at_op("+"):
-            self.next()
-            terms.append(self.parse_mterm(monoid))
-        self.expect_op("}")
-        return ("sm", alg.make_msum(monoid, terms))
-
-    def parse_mterm(self, monoid):
-        kind, value, _ = self.peek()
-        if kind in ("num", "inf") and not self._num_starts_weight():
-            self.next()
-            return alg.MConst(monoid, value)
-        weight = self.parse_product()
-        self.expect_op("(x)")
-        return alg.make_scaled(monoid, weight, self.parse_mval())
-
-    def _num_starts_weight(self):
-        # `5 (x) 7` scales the constant condition 5; a bare `5` is a
-        # monoid constant.
-        kind, _, _ = self.peek()
-        nk, nv, _ = self.peek(1)
-        return kind == "num" and nk == "op" and nv in ("(x)", "*")
-
-    def parse_mval(self):
-        kind, value, pos = self.next()
-        if kind in ("num", "inf"):
-            return value
-        raise ParseError("expected an aggregation value, found %r" % (value,), pos)
 
 
 def _is_proto(side):
+    """Whether a side is a monoid sum or value still waiting for a tag."""
     return side[0] in ("proto", "mval")
 
 
-def _side_kind(side, resolved=False):
-    if resolved:
-        return side.kind if isinstance(side, alg.MExpr) else None
-    if side[0] == "sm":
-        return side[1].kind
-    return None
-
-
-def _resolve_side(side, tag, other_kind, pos):
-    label = side[0]
+def _resolve_side(side, tag, other_kind, after):
+    label, body = side
     if label in ("sr", "sm"):
-        return side[1]
+        return body
     kind = tag or other_kind
     if label == "mval":
-        if kind is None and side[1] not in (alg.INF, alg.NEG_INF):
-            return alg.Const(side[1])
         if kind is None:
-            kind = alg.MonoidKind.MIN if side[1] == alg.INF else alg.MonoidKind.MAX
-        return alg.MConst(kind, side[1])
+            kind = alg.MonoidKind.MIN if body == alg.INF else alg.MonoidKind.MAX
+        return alg.MConst(kind, body)
     if kind is None:
-        raise ParseError("scaled sum needs a monoid tag", pos)
+        raise _Fail(after, "scaled sum needs a monoid tag")
     terms = []
-    for chunk in side[1]:
+    for chunk in body:
         if chunk[0] == "scaled":
             terms.append(alg.make_scaled(kind, chunk[1], chunk[2]))
         elif chunk[0] == "plainm":
@@ -262,14 +247,40 @@ def _resolve_side(side, tag, other_kind, pos):
         elif isinstance(chunk[1], alg.Const):
             terms.append(alg.MConst(kind, chunk[1].value))
         else:
-            raise ParseError("plain semiring summand inside a scaled sum", pos)
+            raise _Fail(after, "plain semiring summand inside a scaled sum")
     return alg.make_msum(kind, terms)
 
 
-def _coerce_mconst(expr, kind, pos):
+def _make_cond(left, theta, right, tag, after):
+    """The conditional of two sides; errors point at the operator."""
+    lexpr = _resolve_side(left, tag, right[1].kind if right[0] == "sm" else None, after)
+    lkind = lexpr.kind if isinstance(lexpr, alg.MExpr) else None
+    rexpr = _resolve_side(right, tag, lkind, after)
+    if lkind is not None and isinstance(rexpr, alg.Expr):
+        rexpr = _coerce_mconst(rexpr, lkind, after)
+    elif isinstance(rexpr, alg.MExpr) and isinstance(lexpr, alg.Expr):
+        lexpr = _coerce_mconst(lexpr, rexpr.kind, after)
+    return alg.Cmp(lexpr, theta, rexpr)
+
+
+def _coerce_mconst(expr, kind, after):
     if isinstance(expr, alg.Const):
         return alg.MConst(kind, expr.value)
-    raise ParseError("cannot compare a semiring expression with an aggregate", pos)
+    raise _Fail(after, "cannot compare a semiring expression with an aggregate")
+
+
+def _token_starts(text):
+    """The character offset of each token of ``text``.  Raises the
+    ParseError of the first character that starts no token, at the end
+    of the token before it."""
+    starts = []
+    end = 0
+    for m in _SCAN_RE.finditer(text):
+        if not _TOKEN_RE.fullmatch(m.group()):
+            raise ParseError("unexpected character %r" % m.group(), end)
+        starts.append(m.start())
+        end = m.end()
+    return starts
 
 
 def parse_expr(text):
@@ -277,7 +288,17 @@ def parse_expr(text):
     # Most annotation cells name one variable; those skip the parser.
     if _IDENT_RE.fullmatch(text):
         return alg.Var(text)
-    return _Parser(text).parse_expr()
+    try:
+        return _parse(text)
+    except _Fail as fail:
+        after, message = fail.args
+        starts = _token_starts(text)
+        # The end of input follows the last token and has no position.
+        raise ParseError(message, starts[len(starts) - after] if after else -1) from None
+    except PvcError:
+        # A stray character anywhere is reported before any other error.
+        _token_starts(text)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -293,50 +314,73 @@ def _format_mval(value):
     return str(value)
 
 
-def _format_factor(expr):
-    if isinstance(expr, alg.Add):
-        return "(" + format_expr(expr) + ")"
-    return format_expr(expr)
+def _push_product(todo, factors):
+    """Push factors to print joined by '*', a sum in parentheses."""
+    for k in range(len(factors) - 1, -1, -1):
+        factor = factors[k]
+        if type(factor) is alg.Add:
+            todo += (")", factor, "(")
+        else:
+            todo.append(factor)
+        if k:
+            todo.append("*")
 
 
-def _format_mterm(term):
-    if isinstance(term, alg.MConst):
-        return _format_mval(term.value)
-    weight = "*".join(_format_factor(p) for p in alg.product_factors(term.weight))
-    return "%s(x)%s" % (weight, _format_mval(term.value))
+def _push_terms(todo, terms):
+    """Push monoid-sum terms to print joined by ' + '."""
+    for k in range(len(terms) - 1, -1, -1):
+        term = terms[k]
+        if type(term) is alg.MConst:
+            todo.append(_format_mval(term.value))
+        else:
+            todo.append("(x)" + _format_mval(term.value))
+            _push_product(todo, alg.product_factors(term.weight))
+        if k:
+            todo.append(" + ")
 
 
-def _format_side(expr, other):
+def _side(expr, other):
     # A bare value opposite a monoid sum of its own kind reads back as
     # this monoid constant; anywhere else it would read as another node.
     if type(expr) is alg.MConst and type(other) is not alg.MConst and other.kind is expr.kind:
         return _format_mval(expr.value)
-    return format_expr(expr)
+    return expr
 
 
 def format_expr(expr):
     """Render an expression in the canonical textual syntax."""
-    if isinstance(expr, alg.Var):
-        return expr.name
-    if isinstance(expr, alg.Const):
-        return str(expr.value)
-    if isinstance(expr, alg.Add):
-        return " + ".join(format_expr(p) for p in expr.parts)
-    if isinstance(expr, alg.Mul):
-        return "*".join(_format_factor(p) for p in expr.parts)
-    if isinstance(expr, alg.Cmp):
-        return "[%s %s %s]" % (
-            _format_side(expr.left, expr.right),
-            expr.theta,
-            _format_side(expr.right, expr.left),
-        )
-    if isinstance(expr, alg.MConst):
-        return "%s{%s}" % (expr.kind.value, _format_mval(expr.value))
-    if isinstance(expr, alg.Scaled):
-        return "%s{%s}" % (expr.kind.value, _format_mterm(expr))
-    if isinstance(expr, alg.MSum):
-        return "%s{%s}" % (
-            expr.kind.value,
-            " + ".join(_format_mterm(t) for t in expr.terms),
-        )
-    raise TypeError("not an expression: %r" % (expr,))
+    if isinstance(expr, str):
+        raise TypeError("not an expression: %r" % (expr,))
+    out = []
+    # Expressions still to print and text to emit between them, the
+    # next piece on top.
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        if t is str:
+            out.append(e)
+        elif t is alg.Var:
+            out.append(e.name)
+        elif t is alg.Mul:
+            _push_product(todo, e.parts)
+        elif t is alg.Add:
+            parts = e.parts
+            for k in range(len(parts) - 1, 0, -1):
+                todo.append(parts[k])
+                todo.append(" + ")
+            todo.append(parts[0])
+        elif t is alg.Const:
+            out.append(str(e.value))
+        elif t is alg.Cmp:
+            out.append("[")
+            todo += ("]", _side(e.right, e.left), " %s " % e.theta, _side(e.left, e.right))
+        elif t is alg.MConst:
+            out.append("%s{%s}" % (e.kind.value, _format_mval(e.value)))
+        elif t is alg.Scaled or t is alg.MSum:
+            out.append(e.kind.value + "{")
+            todo.append("}")
+            _push_terms(todo, e.terms if t is alg.MSum else (e,))
+        else:
+            raise TypeError("not an expression: %r" % (e,))
+    return "".join(out)

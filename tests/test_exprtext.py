@@ -1,10 +1,13 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvcdb import algebra as alg
-from pvcdb import exprtext
-from pvcdb.algebra import MonoidKind, Var
+from pvcdb import cli, exprtext
+from pvcdb.algebra import INF, NEG_INF, MonoidKind, Var
 from pvcdb.errors import ParseError
 from pvcdb.exprtext import format_expr, parse_expr
 
@@ -60,7 +63,94 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", ["x0", "_y", "min", "inf", "count"])
     def test_bare_identifier_is_the_variable_the_grammar_reads(self, text):
-        assert parse_expr(text).key() == exprtext._Parser(text).parse_expr().key()
+        assert parse_expr(text).key() == exprtext._parse(text).key()
+
+    def test_suffix_tag_after_a_scaled_sum_or_an_infinity(self):
+        assert parse_expr("x(x)5 + y(x)3 max") is parse_expr("max{x(x)5 + y(x)3}")
+        assert parse_expr("3 + +inf min") is alg.MConst(MonoidKind.MIN, 3)
+        assert parse_expr("-inf max") is alg.MConst(MonoidKind.MAX, NEG_INF)
+        assert parse_expr("[+inf > y(x)3] max") is parse_expr("[max{+inf} > max{y(x)3}]")
+
+
+# Each malformed input with the message and position that the recursive
+# descent parser reported; the one-scan parser must report the same.
+ERRORS = [
+    ("x + ", "expected a variable, number, '(' or '['", -1),
+    ("(x + y", "expected ')', found None", -1),
+    ("[x]", "expected a comparison operator, found ']'", 2),
+    ("min{}", "expected a variable, number, '(' or '['", 4),
+    ("min{x(x)3", "expected '}', found None", -1),
+    ("x ? y", "unexpected character '?'", 1),
+    ("*x", "expected a variable, number, '(' or '['", 0),
+    ("(x)", "expected a variable, number, '(' or '['", 0),
+    ("1x", "trailing input 'x'", 1),
+    ("", "expected a variable, number, '(' or '['", -1),
+    ("x y", "trailing input 'y'", 2),
+    ("xé", "unexpected character 'é'", 1),
+    # scaled sums
+    ("a(x)5 + b(x)10", "scaled sum needs a monoid tag", -1),
+    ("[a(x)5 <= 3]", "scaled sum needs a monoid tag", 7),
+    ("[a(x)5 + b <= 3] min", "plain semiring summand inside a scaled sum", 11),
+    ("min{x}", "expected '(x)', found '}'", 5),
+    ("min{+inf(x)3}", "expected '}', found '(x)'", 8),
+    # comparison operators
+    ("[x + y]", "expected a comparison operator, found ']'", 6),
+    ("[x 5]", "expected a comparison operator, found 5", 3),
+    ("[x +inf]", "expected a comparison operator, found inf", 3),
+    ("[x <= y", "expected ']', found None", -1),
+    ("[x <=]", "expected a variable, number, '(' or '['", 5),
+    ("[min{x(x)3} <= y]", "cannot compare a semiring expression with an aggregate", 12),
+    ("[y > max{x(x)3}]", "cannot compare a semiring expression with an aggregate", 3),
+    # aggregation values
+    ("min{x(x)y}", "expected an aggregation value, found 'y'", 8),
+    ("x(x)", "expected an aggregation value, found None", -1),
+    ("[x(x)+ <= 3] min", "expected an aggregation value, found '+'", 5),
+    # a stray character is reported before an error met earlier
+    ("sum{x(x)+inf} ?", "unexpected character '?'", 13),
+    ("[a(x)5 <= 3] ?", "unexpected character '?'", 12),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("text,message,pos", ERRORS)
+    def test_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert str(info.value) == "%s (at position %d)" % (message, pos)
+        assert info.value.pos == pos
+
+    @pytest.mark.parametrize(
+        "text,pos", [("x + +inf", -1), ("[x + +inf != 0]", 10), ("[2 + -inf = y]", 10)]
+    )
+    def test_infinity_in_a_plain_sum(self, text, pos):
+        # An infinity is a monoid value: the sum it is in needs a tag.
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert str(info.value) == "scaled sum needs a monoid tag (at position %d)" % pos
+
+    def test_infinity_in_a_plain_sum_is_one_error_line(self, tmp_path, capsys):
+        probs = tmp_path / "p.tsv"
+        probs.write_text("x\t0\t0.5\nx\t1\t0.5\n")
+        code = cli.run(["prob", "--expr", "x + +inf", "--probs", str(probs)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scaled sum needs a monoid tag (at position -1)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text,tag,pos",
+        [
+            ("min{x(x)3} max", "max", 11),
+            ("x min", "min", 2),
+            ("[x != 0] max", "max", 9),
+            ("[min{x(x)3} <= 2] sum", "sum", 18),
+            ("x*[y(x)3 <= 2] min count", "count", 19),
+        ],
+    )
+    def test_tag_with_nothing_to_tag_is_trailing_input(self, text, tag, pos):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert str(info.value) == "trailing input %r (at position %d)" % (tag, pos)
 
 
 def _rand_expr(rng, depth=3):
@@ -92,7 +182,98 @@ def _rand_plain(rng, names, depth):
     return alg.Cmp(left, rng.choice(alg.THETAS), right)
 
 
+NAMES = st.sampled_from(["a", "b", "x4", "z1", "min", "inf"])
+KINDS = st.sampled_from(list(MonoidKind))
+
+
+def _mvals(kind):
+    values = st.integers(0, 30)
+    if kind in (MonoidKind.MIN, MonoidKind.MAX):
+        values = values | st.sampled_from([INF, NEG_INF])
+    return values
+
+
+def _monoid_side(kind, semiring):
+    """A monoid constant, or a monoid sum of scaled terms and constants."""
+    const = _mvals(kind).map(functools.partial(alg.MConst, kind))
+    scaled = st.builds(functools.partial(alg.make_scaled, kind), semiring, _mvals(kind))
+    terms = st.lists(scaled | const, min_size=1, max_size=3)
+    return const | terms.map(functools.partial(alg.make_msum, kind))
+
+
+def _compound(inner):
+    monoid = KINDS.flatmap(lambda kind: _monoid_side(kind, inner))
+    thetas = st.sampled_from(alg.THETAS)
+    parts = st.lists(inner, min_size=2, max_size=3)
+    return st.one_of(
+        parts.map(alg.make_sum),
+        parts.map(alg.make_product),
+        st.builds(alg.Cmp, inner, thetas, inner),
+        st.builds(alg.Cmp, monoid, thetas, monoid),
+    )
+
+
+# Constants cover both semirings: Boolean 0/1 and larger naturals.
+SEMIRING = st.recursive(
+    NAMES.map(Var) | st.integers(0, 5).map(alg.Const), _compound, max_leaves=10
+)
+EXPRESSIONS = SEMIRING | KINDS.flatmap(lambda kind: _monoid_side(kind, SEMIRING))
+SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+def _nest(levels, wrap, inner):
+    for k in range(levels - 1, -1, -1):
+        inner = wrap(k, inner)
+    return inner
+
+
 class TestRoundTrip:
+    @SETTINGS
+    @given(EXPRESSIONS)
+    def test_print_then_parse_is_the_node(self, expr):
+        text = format_expr(expr)
+        assert parse_expr(text) is expr
+        assert format_expr(parse_expr(text)) == text
+
+    @SETTINGS
+    @given(
+        KINDS.flatmap(lambda kind: st.tuples(
+            st.just(kind),
+            st.lists(st.builds(functools.partial(alg.make_scaled, kind), SEMIRING,
+                               _mvals(kind)), min_size=1, max_size=3),
+            _mvals(kind),
+        )),
+        st.sampled_from(alg.THETAS),
+    )
+    def test_suffix_tag_reads_as_the_braced_form(self, case, theta):
+        kind, terms, bound = case
+        left = alg.make_msum(kind, terms)
+        if type(left) is alg.MConst:
+            return  # no scaled term is left to take the tag
+        braced = format_expr(left)
+        inner = braced[len(kind.value) + 1:-1]
+        assert parse_expr("%s %s" % (inner, kind.value)) is left
+        cond = alg.Cmp(left, theta, alg.MConst(kind, bound))
+        text = format_expr(cond)
+        suffix = "[ %s %s %s ] %s" % (inner, theta, text.rsplit(" ", 1)[1][:-1], kind.value)
+        assert parse_expr(suffix) is cond
+        assert format_expr(parse_expr(suffix)) == text
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            # x0*(x1 + x2*(x3 + ...)), alternating '*' and '+' levels
+            lambda k, inner: ("x%d*(%s)" if k % 2 == 0 else "x%d + %s") % (k, inner),
+            lambda k, inner: "[%s != 0]" % inner,
+        ],
+        ids=["alternating", "conditionals"],
+    )
+    def test_3000_levels_under_the_default_recursion_limit(self, wrap):
+        text = _nest(3000, wrap, "x3000")
+        expr = parse_expr(text)
+        assert format_expr(expr) == text
+        assert parse_expr(format_expr(expr)) is expr
+
     def test_parse_after_print_is_identity(self):
         rng = random.Random(5)
         for _ in range(300):
