@@ -83,8 +83,13 @@ class _QueryParser:
                 if not rest:
                     break
                 raise ParseError("unexpected character %r" % rest[0], pos)
-            if m.group("num") is not None:
-                self.tokens.append(("num", int(m.group("num"))))
+            num = m.group("num")
+            if num is not None:
+                try:
+                    self.tokens.append(("num", int(num)))
+                except ValueError:  # more digits than Python converts to an int
+                    digits = len(num.lstrip("-"))
+                    raise ParseError("numeral of %d digits is too long" % digits, pos) from None
             elif m.group("str") is not None:
                 self.tokens.append(("str", m.group("str")[1:-1]))
             elif m.group("ident") is not None:
@@ -235,7 +240,11 @@ _MTAG_RE = re.compile(r"(min|max|sum|count|prod)\{")
 
 def _parse_cell(text, where):
     if _INT_RE.match(text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python converts to an int
+            digits = len(text.lstrip("-"))
+            raise ParseError("%s: numeral of %d digits is too long" % (where, digits)) from None
     if _MTAG_RE.match(text):
         expr = parse_expr(text)
         if not isinstance(expr, alg.MExpr):
@@ -602,12 +611,18 @@ def _cmd_parse(args, out):
     return 0
 
 
-def _cmd_prob(args, out):
+def _expr_tree(args):
+    """The semiring and the tree of the expression, pruned, then
+    compiled: what ``prob`` reads and ``dtree dump`` prints."""
     expr = _read_expr(args)
     var_dists = load_probabilities(args.probs)
     sk = _semiring(args)
     pruned = dtree.prune_all(expr, sk, var_dists)
-    tree = dtree.compile(pruned, var_dists, sk, args.node_budget)
+    return sk, dtree.compile(pruned, var_dists, sk, args.node_budget)
+
+
+def _cmd_prob(args, out):
+    sk, tree = _expr_tree(args)
     out.write(format_distribution(dtree.distribution(tree, sk)))
     return 0
 
@@ -684,11 +699,7 @@ def _cmd_bench(args, out):
 def _cmd_dtree(args, out):
     if args.action != "dump":
         raise InvalidParams("unknown dtree action %r" % args.action)
-    expr = _read_expr(args)
-    var_dists = load_probabilities(args.probs)
-    sk = _semiring(args)
-    tree = dtree.compile(expr, var_dists, sk, args.node_budget)
-    # Line by line: a deep tree's dump can be far larger than the tree.
+    _, tree = _expr_tree(args)
     for line in dtree.dot_lines(tree) if args.dot else dtree.tree_lines(tree):
         out.write(line + "\n")
     return 0

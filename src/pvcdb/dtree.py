@@ -76,10 +76,16 @@ the unit rule steers joints too.  A mutex branch substitutes one value
 for its variable, and substitution folds every comparison that the
 remaining values already decide (:func:`pvcdb.algebra.make_cmp`), so no
 branch splits on a variable that can no longer change its result; the
-sums left may then fall apart into groups.  The compiler,
-:func:`distribution`, :func:`eval_dtree`, :meth:`DNode.vars` (hence
-:func:`validate`) and the dumps all walk with an explicit stack, so a
-deep case-split chain does not meet Python's recursion limit.
+sums left may then fall apart into groups.
+
+The compiler builds a DAG: an input that recurs, as in sibling mutex
+branches, compiles once and its node has several parents.  Everything
+that reads a tree (:func:`distribution`, :func:`eval_dtree`,
+:func:`validate`, the counts and the dumps) takes each distinct node
+once, after its children, from one generator (:func:`_post_order`).
+That walk, like the compiler's, keeps its own stack, so a deep
+case-split chain does not meet Python's recursion limit.  Nodes hold
+only their structure.
 
 Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
 constant for this: it keeps the terms that can decide the comparison,
@@ -97,7 +103,6 @@ is zero every clause that contains it vanishes.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections import Counter
 
@@ -141,38 +146,10 @@ from .prob import (
 
 
 class DNode:
-    # ``shared``: the compiler handed this node to more than one parent.
-    __slots__ = ("_vars", "shared")
-
-    def __init__(self):
-        self._vars = None
-        self.shared = False
+    __slots__ = ()
 
     def children(self):
         return ()
-
-    def vars(self):
-        """The variables of the subtree, cached on every node below that
-        has none yet; the walk keeps its own stack."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node._vars is not None:
-                continue
-            pending = [c for c in node.children() if c._vars is None]
-            if pending:
-                stack.append(node)
-                stack += pending
-                continue
-            acc = set()
-            for c in node.children():
-                acc |= c._vars
-            if isinstance(node, VarLeaf):
-                acc.add(node.name)
-            if isinstance(node, MutexNode):
-                acc.add(node.var)
-            node._vars = frozenset(acc)
-        return self._vars
 
     def label(self):
         raise NotImplementedError
@@ -182,7 +159,6 @@ class VarLeaf(DNode):
     __slots__ = ("name", "dist")
 
     def __init__(self, name, dist):
-        super().__init__()
         self.name = name
         self.dist = dist
 
@@ -196,7 +172,6 @@ class ConstLeaf(DNode):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        super().__init__()
         self.value = value
 
     def label(self):
@@ -210,7 +185,6 @@ class SumNode(DNode):
     __slots__ = ("parts", "kind")
 
     def __init__(self, parts, kind=None):
-        super().__init__()
         self.parts = tuple(parts)
         self.kind = kind
 
@@ -227,7 +201,6 @@ class ProdNode(DNode):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        super().__init__()
         self.parts = tuple(parts)
 
     def children(self):
@@ -243,7 +216,6 @@ class ScaleNode(DNode):
     __slots__ = ("left", "right", "kind")
 
     def __init__(self, left, right, kind):
-        super().__init__()
         self.left = left
         self.right = right
         self.kind = kind
@@ -261,7 +233,6 @@ class CmpNode(DNode):
     __slots__ = ("theta", "left", "right")
 
     def __init__(self, left, theta, right):
-        super().__init__()
         self.left = left
         self.theta = theta
         self.right = right
@@ -285,7 +256,6 @@ class MutexNode(DNode):
     __slots__ = ("var", "branches")
 
     def __init__(self, var, branches):
-        super().__init__()
         self.var = var
         self.branches = tuple(branches)  # (value, prob, child)
 
@@ -319,7 +289,6 @@ class JointSumNode(DNode):
     )
 
     def __init__(self, parts, places, tables, pluses, bounds, idle, start, outputs, scalar):
-        super().__init__()
         self.parts = tuple(parts)
         self.places = places
         self.tables = tables
@@ -370,25 +339,37 @@ class JointSumNode(DNode):
         )
 
 
-def _unique_nodes(d):
-    seen = {}
+def _post_order(d, inputs=None):
+    """Every distinct node of the tree under ``d`` once, each after its
+    inputs: its children, or ``inputs(node)`` for a caller that reads
+    fewer.  The walk keeps its own stack, so a deep tree does not meet
+    Python's recursion limit."""
+    seen = set()
     stack = [d]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node is None:  # the inputs of the node below are out
+            node = stack.pop()
+        elif id(node) in seen:
             continue
-        seen[id(node)] = node
-        stack.extend(node.children())
-    return list(seen.values())
+        else:
+            below = node.children() if inputs is None else inputs(node)
+            if below:
+                stack.append(node)
+                stack.append(None)
+                stack += below[::-1]
+                continue
+        seen.add(id(node))
+        yield node
 
 
 def node_count(d):
     """Number of distinct nodes (shared subtrees count once)."""
-    return len(_unique_nodes(d))
+    return sum(1 for _ in _post_order(d))
 
 
 def mutex_count(d):
-    return sum(1 for n in _unique_nodes(d) if isinstance(n, MutexNode))
+    return sum(isinstance(n, MutexNode) for n in _post_order(d))
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +673,7 @@ class _Compiler:
                 continue
             key = ("k", item.value) if t is Const or t is MConst else item
             node = memo.get(key)
-            if node is not None:
-                node.shared = True
-            else:
+            if node is None:
                 if self.remaining is not None:
                     self.remaining -= 1
                     if self.remaining < 0:
@@ -951,27 +930,10 @@ def compile_joint(exprs, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
 
 def distribution(d, sk=SemiringKind.BOOLEAN):
     """The exact probability distribution represented by a tree,
-    computed bottom-up with one result per distinct node.
-
-    The walk keeps its own post-order stack, so a deep tree, such as the
-    case-split chain of a grouped joint, does not meet Python's recursion
-    limit.
-    """
+    computed bottom-up with one result per distinct node
+    (:func:`_post_order`)."""
     memo = {}
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if node is None:  # the node below now has its children's results
-            node = stack.pop()
-        elif id(node) in memo:
-            continue
-        else:
-            children = node.children()
-            if children:
-                stack.append(node)
-                stack.append(None)
-                stack += children
-                continue
+    for node in _post_order(d):
         memo[id(node)] = _distribution(node, sk, memo)
     return memo[id(d)]
 
@@ -1025,49 +987,30 @@ def _fold(d, sk, memo):
     """Combine the children of an n-ary node in one pass.
 
     Boolean sums and products fold all children in one loop
-    (:func:`pvcdb.prob.boolean_fold`).  Otherwise the children are
-    convolved from the last to the first, in the order of a right-nested
-    binary chain, except for integer addition (SUM, COUNT and the
-    NATURAL semiring's sum), below.  A tail of children that all have
-    other parents may recur in another node, as in sibling mutex
-    branches, so its partial results are memoised under the identities
-    of their inputs, in either order since the operations commute; other
-    partial results are not kept.  Integer addition then takes the other
-    children and the tail's sum, in its place, in ascending order of
-    span (a stable sort, so ties keep the source order): each step of
-    the sum is as wide as the spans so far added up, so this order keeps
-    the intermediate supports narrowest.  In that order the sum runs in
-    one dense list (:func:`pvcdb.prob.sum_fold`) when it pays, else
-    pairwise.
+    (:func:`pvcdb.prob.boolean_fold`).  Integer addition (SUM, COUNT and
+    the NATURAL semiring's sum) takes the children in ascending order of
+    span (a stable sort, so ties keep the source order): each step of the
+    sum is as wide as the spans so far added up, so this order keeps the
+    intermediate supports narrowest.  In that order the sum runs in one
+    dense list (:func:`pvcdb.prob.sum_fold`) when it pays, else pairwise.
+    Every other node convolves its children pairwise from the last to the
+    first, in the order of a right-nested binary chain.
     """
+    parts = [memo[id(c)] for c in d.parts]
     if sk is SemiringKind.BOOLEAN and (isinstance(d, ProdNode) or d.kind is None):
-        return boolean_fold([memo[id(c)] for c in d.parts], isinstance(d, SumNode))
-    # ``tag`` names the operation in the keys of partial results.
-    if isinstance(d, ProdNode):
-        tag, pair = ProdNode, lambda p, q: convolve(p, q, sk.mul)
-    else:
-        tag = pair = _PAIR_KERNELS[d.kind]
-    parts = d.parts
-    i = len(parts) - 1
-    acc = memo[id(parts[i])]
-    if parts[i].shared:
-        while i > 0 and parts[i - 1].shared:
-            i -= 1
-            p = memo[id(parts[i])]
-            key = (tag, min(id(p), id(acc)), max(id(p), id(acc)))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = pair(p, acc)
-            acc = hit
-    if i and pair is _add_pair:
-        ordered = sorted([memo[id(c)] for c in parts[:i]] + [acc], key=_span)
-        dense = sum_fold(ordered)
+        return boolean_fold(parts, isinstance(d, SumNode))
+    pair = (
+        _PAIR_KERNELS[d.kind] if isinstance(d, SumNode) else lambda p, q: convolve(p, q, sk.mul)
+    )
+    if pair is _add_pair:
+        parts.sort(key=_span)
+        dense = sum_fold(parts)
         if dense is not None:
             return dense
-        acc, rest = ordered[0], ordered[1:]
     else:
-        rest = [memo[id(c)] for c in parts[i - 1 :: -1]] if i else ()
-    for p in rest:
+        parts.reverse()
+    acc = parts[0]
+    for p in parts[1:]:
         acc = pair(p, acc)
     return acc
 
@@ -1102,24 +1045,13 @@ def eval_dtree(d, nu, sk=SemiringKind.BOOLEAN):
     This is the structural read-back: it never touches probabilities,
     so agreement with the source expression on every valuation verifies
     the compilation.  A mutex node reads only the branch of its
-    variable's value; the walk keeps its own post-order stack, with one
-    value per distinct node.
+    variable's value, and each node read has one value
+    (:func:`_post_order`).
     """
+    inputs = functools.partial(_eval_inputs, nu=nu)
     memo = {}
-    stack = [d]
-    while stack:
-        item = stack.pop()
-        if type(item) is tuple:  # (node, inputs): the inputs have values
-            node, inputs = item
-        elif id(item) in memo:
-            continue
-        else:
-            node, inputs = item, _eval_inputs(item, nu)
-            if inputs:
-                stack.append((node, inputs))
-                stack += inputs
-                continue
-        memo[id(node)] = _eval_node(node, nu, sk, [memo[id(c)] for c in inputs])
+    for node in _post_order(d, inputs):
+        memo[id(node)] = _eval_node(node, nu, sk, [memo[id(c)] for c in inputs(node)])
     return memo[id(d)]
 
 
@@ -1163,83 +1095,76 @@ def validate(d, var_dists=None):
     Combination nodes must have pairwise variable-disjoint children, and
     below a mutex node its variable must not occur; when distributions
     are supplied, mutex branches must enumerate exactly the non-zero
-    support.  Raises ValueError on the first violation.
+    support.  Raises ValueError on the first violation.  One pass takes
+    each subtree's variables, as a bitmask, from its children's.
     """
-    for node in _unique_nodes(d):
-        if isinstance(node, (SumNode, ProdNode, ScaleNode, CmpNode, JointSumNode)):
-            seen = set()
-            for child in node.children():
-                shared = seen & child.vars()
-                if shared:
-                    raise ValueError(
-                        "children of %s share variables %s" % (node.label(), shared)
-                    )
-                seen |= child.vars()
-        if isinstance(node, MutexNode):
-            for value, p, child in node.branches:
-                if node.var in child.vars():
-                    raise ValueError("%s occurs below its own mutex node" % node.var)
+    bits = {}  # variable -> its bit in the masks
+    masks = {}  # id(node) -> the variables of its subtree
+    for node in _post_order(d):
+        disjoint = not isinstance(node, MutexNode)
+        mask = 0
+        for child in node.children():
+            below = masks[id(child)]
+            if disjoint and mask & below:
+                shared = sorted(x for x, bit in bits.items() if bit & mask & below)
+                raise ValueError("children of %s share variables %s" % (node.label(), shared))
+            mask |= below
+        if isinstance(node, VarLeaf):
+            mask |= bits.setdefault(node.name, 1 << len(bits))
+        elif isinstance(node, MutexNode):
+            bit = bits.setdefault(node.var, 1 << len(bits))
+            if mask & bit:
+                raise ValueError("%s occurs below its own mutex node" % node.var)
+            mask |= bit
             if var_dists is not None and node.var in var_dists:
                 expected = var_dists[node.var].support
                 got = tuple(value for value, _, _ in node.branches)
-                if tuple(sorted(got)) != tuple(sorted(expected)):
-                    raise ValueError(
-                        "mutex on %s covers %r, support is %r"
-                        % (node.var, got, expected)
-                    )
+                if sorted(got) != sorted(expected):
+                    message = "mutex on %s covers %r, support is %r"
+                    raise ValueError(message % (node.var, got, expected))
+        masks[id(node)] = mask
     return True
 
 
-def tree_lines(d):
-    """Indented textual rendering, one line per node and mutex branch,
-    yielded as it is made; a shared subtree is printed under each of its
-    parents.  The walk keeps its own stack of nodes and ready lines."""
-    stack = [(d, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            yield item
-            continue
-        node, depth = item
-        pad = "  " * depth
-        yield pad + node.label()
+def _named(d):
+    """Each distinct node under ``d`` after its children, as ``(name,
+    node, edges)``: ``name`` is ``n`` and its place in that order, and
+    ``edges`` pairs each child's name with its mutex branch, ``value
+    (p=...)``, or with None under any other node."""
+    names = {}
+    for node in _post_order(d):
         if isinstance(node, MutexNode):
-            todo = []
-            for value, p, child in node.branches:
-                todo.append("%s  <- %s (p=%.6g)" % (pad, value, p))
-                todo.append((child, depth + 2))
+            edges = [(names[id(c)], "%s (p=%.6g)" % (v, p)) for v, p, c in node.branches]
         else:
-            todo = [(c, depth + 1) for c in node.children()]
-        stack += todo[::-1]
+            edges = [(names[id(c)], None) for c in node.children()]
+        name = names[id(node)] = "n%d" % len(names)
+        yield name, node, edges
+
+
+def tree_lines(d):
+    """Textual rendering, one line per distinct node, yielded as it is
+    made: ``name = label``, then, after a colon, the names of its
+    children, each mutex branch as ``name <- value (p=...)``.  Every
+    child comes before its parents, so the root is the last line."""
+    for name, node, edges in _named(d):
+        line = "%s = %s" % (name, node.label())
+        if edges:
+            line += ": " + ", ".join(c if b is None else "%s <- %s" % (c, b) for c, b in edges)
+        yield line
 
 
 def dot_lines(d):
     """Graph description (DOT digraph) for external rendering, yielded
-    line by line; a shared subtree is drawn under each of its parents.
-    Nodes are numbered in pre-order, and the edge into a node follows
-    the lines of its subtree."""
+    line by line: each distinct node declared once, after its children,
+    with one edge to each of its children, labelled with the branch
+    under a mutex node."""
     yield "digraph dtree {"
     yield "  node [shape=box];"
-    counter = itertools.count()
-    stack = [(d, None)]  # (node, (parent id, edge attributes)) or a ready line
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            yield item
-            continue
-        node, edge = item
-        nid = "n%d" % next(counter)
-        yield '  %s [label="%s"];' % (nid, node.label().replace('"', "'"))
-        if edge is not None:
-            stack.append("  %s -> %s%s" % (edge[0], nid, edge[1]))
-        if isinstance(node, MutexNode):
-            todo = [
-                (child, (nid, ' [label="%s: %.4g"];' % (value, p)))
-                for value, p, child in node.branches
-            ]
-        else:
-            todo = [(child, (nid, ";")) for child in node.children()]
-        stack += todo[::-1]
+    for name, node, edges in _named(d):
+        yield '  %s [label="%s"];' % (name, node.label().replace('"', "'"))
+        for child, branch in edges:
+            label = "" if branch is None else ' [label="%s"]' % branch
+            yield "  %s -> %s%s;" % (name, child, label)
     yield "}"
 
 

@@ -71,13 +71,25 @@ class _Fail(Exception):
     it; :func:`parse_expr` reports it at the token's character position."""
 
 
+def _numeral(tok, after):
+    """The value of a numeral token, ``after`` tokens before the end."""
+    try:
+        return int(tok)
+    except ValueError:  # more digits than Python converts to an int
+        raise _Fail(after, "numeral of %d digits is too long" % len(tok)) from None
+
+
 def _shown(tok):
-    """A token as error messages show it: numbers as their values, the
-    end of input as None."""
+    """A token as error messages show it: numbers as their values, or
+    their first digits where they are too long, the end of input as
+    None."""
     if tok == _END:
         return None
     if tok.isdecimal():
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:
+            return tok[:20] + "..."
     return _INFS.get(tok, tok)
 
 
@@ -99,7 +111,8 @@ def _parse(text):
                 # `5 (x) 7` scales the constant condition 5; a bare `5`
                 # is a monoid constant.
                 if tok in _INFS or tok.isdecimal() and toks[-1] not in ("(x)", "*"):
-                    items.append(alg.MConst(aux, _INFS[tok] if tok in _INFS else int(tok)))
+                    value = _INFS[tok] if tok in _INFS else _numeral(tok, len(toks))
+                    items.append(alg.MConst(aux, value))
                     tok = pop()
                     state = _DONE
                     continue
@@ -126,7 +139,7 @@ def _parse(text):
             if tok[0] in _IDENT_START:
                 factors.append(alg.Var(tok))
             elif tok.isdecimal():
-                factors.append(alg.Const(int(tok)))
+                factors.append(alg.Const(_numeral(tok, len(toks))))
             elif tok == "(" or tok == "[":
                 stack.append((frame, items, factors, aux))
                 frame = _PAREN if tok == "(" else _LEFT
@@ -149,7 +162,7 @@ def _parse(text):
             elif tok == "(x)":
                 tok = pop()
                 if tok.isdecimal():
-                    value = int(tok)
+                    value = _numeral(tok, len(toks))
                 elif tok in _INFS:
                     value = _INFS[tok]
                 else:

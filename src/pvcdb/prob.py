@@ -128,9 +128,6 @@ class Distribution:
     def total_mass(self):
         return sum(p for _, p in self.entries)
 
-    def is_normalized(self, tol=MASS_TOL):
-        return abs(self.total_mass() - 1.0) <= tol
-
     def check_normalized(self, tol=MASS_TOL, what="distribution"):
         mass = self.total_mass()
         if abs(mass - 1.0) > tol:

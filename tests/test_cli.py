@@ -364,7 +364,10 @@ class TestSubcommands:
             "nat",
         )
         assert code == 0
-        assert out.lstrip().startswith("|_|c")
+        lines = out.splitlines()
+        assert lines[0] == "n0 = a"
+        assert lines[-1].startswith("n%d = |_|c: " % (len(lines) - 1))
+        assert " <- 1 (p=0.8), " in lines[-1]
         code, out = run_cli(
             "dtree",
             "dump",
@@ -478,34 +481,39 @@ class TestSubcommands:
         assert out.getvalue() == "".join("%d\t%.12g\n" % (i, 0.5 ** (i + 1)) for i in range(49))
 
     def test_deep_tree_dump_fits_the_default_recursion_limit(self, tmp_path):
-        # The same thousand-level chain, printed: the dump keeps its own
-        # stack and writes line by line.  The sink follows the first
-        # root-to-leaf descent, a thousand case splits of four spaces
-        # each, and stops the dump at its leaf.
-        n = 1000
-        expr, probs = self._chain(tmp_path, n)
+        # The same thousand-level chain, dumped whole in both formats:
+        # the walk keeps its own stack, and each distinct node is one
+        # line, or one node statement, however many parents it has.
+        expr, probs = self._chain(tmp_path, 1000)
+        dists = cli.load_probabilities(probs)
+        pruned = dtree.prune_all(parse_expr(expr), alg.SemiringKind.BOOLEAN, dists)
+        nodes = dtree.node_count(dtree.compile(pruned, dists))
+        assert nodes > 2000  # at least two per level
+        code, text = run_cli("dtree", "dump", "--expr", expr, "--probs", probs)
+        assert code == 0
+        lines = text.splitlines()
+        assert len(lines) == nodes
+        assert [ln.split(" = ")[0] for ln in lines] == ["n%d" % i for i in range(nodes)]
+        assert lines[-1].startswith("n%d = |_|x0: " % (nodes - 1))
+        code, dot = run_cli("dtree", "dump", "--dot", "--expr", expr, "--probs", probs)
+        assert code == 0
+        declared = [ln for ln in dot.splitlines() if " [label=" in ln and "->" not in ln]
+        assert len(declared) == nodes
 
-        class Leaf(Exception):
-            pass
-
-        class Descent:
-            """Keeps the lines up to the first that is less indented."""
-
-            def __init__(self):
-                self.lines, self.depth = [], 0
-
-            def write(self, text):
-                depth = len(text) - len(text.lstrip(" "))
-                if depth < self.depth:
-                    raise Leaf
-                self.lines.append(text)
-                self.depth = depth
-
-        out = Descent()
-        argv = ["dtree", "dump", "--expr", expr, "--probs", probs]
-        with pytest.raises(Leaf):
-            cli.main(argv, out=out)
-        assert out.lines[0] == "|_|x0\n" and out.depth >= 4 * n
+    def test_dump_prints_the_tree_that_prob_reads(self, tmp_path):
+        # Pruning rewrites a MIN conditional before it compiles; the dump
+        # shows the pruned tree, whose distribution prob prints.
+        probs = tmp_path / "p.tsv"
+        probs.write_text("".join("%s\t0\t0.5\n%s\t1\t0.5\n" % (v, v) for v in "abcd"))
+        expr = "[min{a*b(x)3 + b*c(x)4 + c*d(x)9 + a*d(x)12} <= 5]"
+        dists = cli.load_probabilities(probs)
+        sk = alg.SemiringKind.BOOLEAN
+        pruned = dtree.compile(dtree.prune_all(parse_expr(expr), sk, dists), dists)
+        unpruned = dtree.compile(parse_expr(expr), dists)
+        assert dtree.node_count(pruned) != dtree.node_count(unpruned)
+        code, text = run_cli("dtree", "dump", "--expr", expr, "--probs", str(probs))
+        assert code == 0
+        assert len(text.splitlines()) == dtree.node_count(pruned)
 
     def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -589,6 +597,42 @@ class TestParserReuse:
     def test_build_parser_returns_a_working_parser(self):
         args = cli.build_parser().parse_args(["prob", "--expr", "x", "--probs", "p.tsv"])
         assert args.command == "prob" and args.expr == "x" and not args.joint
+
+
+class TestHugeNumerals:
+    """A numeral with more digits than Python converts to an int is a
+    ParseError at the numeral, one ``error:`` line from each entry point."""
+
+    @pytest.fixture(autouse=True)
+    def digit_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no limit on integer string conversion")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    BIG = "1" + "0" * 640
+
+    def test_in_an_expression(self, capsys):
+        assert cli.run(["parse", "--expr", "x * [sum{y(x)%s} >= 1]" % self.BIG]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: numeral of 641 digits is too long (at position 13)\n"
+
+    def test_in_a_query(self, capsys):
+        assert cli.run(["parse", "--query", "select[a = %s](R)" % self.BIG]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: numeral of 641 digits is too long (at position 10)\n"
+
+    def test_in_a_table_cell(self, tmp_path, capsys):
+        table = tmp_path / "R.tsv"
+        table.write_text("a\tphi\n%s\tx\n" % self.BIG)
+        probs = tmp_path / "p.tsv"
+        probs.write_text("x\t0\t0.5\nx\t1\t0.5\n")
+        argv = ["query", "--tables", str(table), "--probs", str(probs), "--query", "R"]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: %s line 2: numeral of 641 digits is too long\n" % table
 
 
 class TestNegativeConstants:

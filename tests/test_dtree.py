@@ -38,6 +38,15 @@ def coin(p=0.5):
     return Distribution([(0, 1 - p), (1, p)])
 
 
+def tree_vars(d):
+    """The variables of a tree: of its leaves and its mutex nodes."""
+    return frozenset(
+        n.name if isinstance(n, VarLeaf) else n.var
+        for n in dtree._post_order(d)
+        if isinstance(n, (VarLeaf, MutexNode))
+    )
+
+
 def one_two(p):
     return Distribution([(1, p), (2, 1 - p)])
 
@@ -160,7 +169,7 @@ class TestCompileShapes:
         assert len(tree.branches) == 2
         left = tree.branches[0][2]
         assert isinstance(left, SumNode)
-        sides = {frozenset(child.vars()) for child in left.children()}
+        sides = {tree_vars(child) for child in left.children()}
         assert frozenset({"a", "b"}) in sides
         assert frozenset() in sides
         dtree.validate(tree, FIG_DISTS)
@@ -866,3 +875,26 @@ class TestDumps:
         dot = "\n".join(dtree.dot_lines(tree))
         assert dot.startswith("digraph") and "->" in dot
         assert node_count(tree) >= 5
+
+    def test_shared_subtree_is_printed_once(self):
+        ab = dtree.ProdNode([VarLeaf("a", coin()), VarLeaf("b", coin())])
+        tree = MutexNode("c", [(0, 0.5, ab), (1, 0.5, SumNode([ab, ConstLeaf(1)]))])
+        assert node_count(tree) == 6
+        assert list(dtree.tree_lines(tree)) == [
+            "n0 = a",
+            "n1 = b",
+            "n2 = (.): n0, n1",
+            "n3 = 1",
+            "n4 = (+): n2, n3",
+            "n5 = |_|c: n2 <- 0 (p=0.5), n4 <- 1 (p=0.5)",
+        ]
+        dot = list(dtree.dot_lines(tree))
+        assert dot[0] == "digraph dtree {" and dot[-1] == "}"
+        assert [ln for ln in dot if "n2" in ln] == [
+            '  n2 [label="(.)"];',
+            "  n2 -> n0;",
+            "  n2 -> n1;",
+            "  n4 -> n2;",
+            '  n5 -> n2 [label="0 (p=0.5)"];',
+        ]
+        assert sum(1 for ln in dot if "[label=" in ln and "->" not in ln) == 6

@@ -424,7 +424,9 @@ class TestGroupedJointSweep:
         (cells, phi), = evaluate(plan, db).rows
         jtree = dtree.compile_joint([phi, cells[1]], db.var_dists, B, node_budget=10000)
         assert dtree.validate(jtree, db.var_dists)
-        assert len(jtree.vars()) == n
+        leaves = [node for node in dtree._post_order(jtree) if isinstance(node, dtree.VarLeaf)]
+        assert len({leaf.name for leaf in leaves}) == n
+        assert dtree.mutex_count(jtree) == 0
         rng = random.Random(7)
         for nu in (
             {"x%d" % i: 0 for i in range(n)},

@@ -114,7 +114,7 @@ def _check(tree, exprs, dists, sk, scalar):
 
 
 def _has_joint_sum(tree):
-    return any(isinstance(n, JointSumNode) for n in dtree._unique_nodes(tree))
+    return any(isinstance(n, JointSumNode) for n in dtree._post_order(tree))
 
 
 class TestAgainstEnumeration:
