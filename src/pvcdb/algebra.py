@@ -544,6 +544,10 @@ class MSum(MExpr):
 
 
 def make_sum(parts):
+    if type(parts) is not list:
+        parts = list(parts)
+    if len(parts) == 1:  # flattening an Add, or folding 0, gives it back
+        return parts[0]
     flat = []
     for p in parts:
         if isinstance(p, Add):
@@ -560,6 +564,10 @@ def make_sum(parts):
 
 
 def make_product(parts):
+    if type(parts) is not list:
+        parts = list(parts)
+    if len(parts) == 1:  # flattening a Mul, or folding 0 or 1, gives it back
+        return parts[0]
     flat = []
     for p in parts:
         if isinstance(p, Mul):

@@ -12,8 +12,8 @@ The compiler applies rules in a fixed order: constant folding, then an
 independent-sum split, an independent-product split, an independent
 scaling split, an independent comparison split, a joint-sum split, and
 finally a mutex expansion.  It splits on the variable with most
-occurrences, except in a MIN or MAX sum with a clause of one variable,
-where that variable goes first (the unit rule,
+occurrences, except in a MIN or MAX sum, or a Boolean semiring sum, with
+a clause of one variable, where that variable goes first (the unit rule,
 :func:`choose_branch_variable`).  The independence
 splits work on the flattened source form: summands are grouped by
 connected components of their variable-overlap graph, products by
@@ -90,12 +90,17 @@ only their structure.
 Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
 constant for this: it keeps the terms that can decide the comparison,
 gives all terms of one outcome class one value and makes a term whose
-condition is a sum of clauses one term per clause.  Case splits that
-differ only in which term of a class fired then reach equal
+condition is a sum of clauses one term per clause.  Where the kept
+terms lie in one class, the conditional only asks whether a kept clause
+fires, and in the Boolean semiring it becomes their disjunction, a
+comparison of a semiring sum with 0.  Case splits on such a sum set
+clauses to 1, and a Boolean sum with a non-zero constant part compiles
+to the one leaf of 1.  Where kept terms lie in two classes, case splits
+that differ only in which term of a class fired reach equal
 sub-expressions and share one compiled subtree, and substitution
 collapses the sum, deciding the comparison, as soon as one term's
 weight is known to be non-zero (:func:`pvcdb.algebra.make_scaled`).
-The unit rule steers case splits there: a clause left with one
+The unit rule steers case splits in both forms: a clause left with one
 variable decides the sum where that variable is non-zero, and where it
 is zero every clause that contains it vanishes.
 """
@@ -569,14 +574,16 @@ def split_compare(expr):
     return expr.left, expr.right
 
 
-def choose_branch_variable(*exprs):
+def choose_branch_variable(*exprs, sk=SemiringKind.BOOLEAN):
     """The variable to split a case on, in one expression or in the
-    joint of several.
+    joint of several, in semiring ``sk``.
 
     A MIN or MAX sum, or a conditional on one, whose term has a clause
-    that is one variable goes first (:func:`_unit_variable`).  Otherwise
-    the variable with most occurrences in the expressions as written;
-    ties break towards the lexicographically smallest name.
+    that is one variable goes first, and so, in the Boolean semiring,
+    does a variable that is a clause of a semiring sum
+    (:func:`_unit_variable`).  Otherwise the variable with most
+    occurrences in the expressions as written; ties break towards the
+    lexicographically smallest name.
     """
     if len(exprs) == 1:
         counts = exprs[0].occ()
@@ -586,35 +593,47 @@ def choose_branch_variable(*exprs):
             counts.update(expr.occ())
     if not counts:
         raise NoVariables("expression has no variables")
-    unit = _unit_variable(exprs, counts)
+    unit = _unit_variable(exprs, counts, sk is SemiringKind.BOOLEAN)
     if unit is not None:
         return unit
     return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-def _unit_variable(exprs, counts):
-    """The variable of a one-variable clause in a MIN or MAX sum (or in
-    either side of a conditional) among ``exprs``, or None.
+def _unit_variable(exprs, counts, boolean):
+    """The variable of a one-variable clause in a MIN or MAX sum, or with
+    ``boolean`` in a semiring sum (in an expression or either side of a
+    conditional) among ``exprs``, or None.
 
     Where the variable is non-zero its term fires, and for the best value
-    that decides the sum; where it is zero every clause that contains it
-    vanishes.  Case splits on a sum of products meet such clauses again
-    and again, as they set the other variables of a clause.  The best
-    value (smallest for MIN, largest for MAX) goes first, then most
+    that decides a MIN or MAX sum; in the Boolean semiring, where it is 1
+    it decides the semiring sum.  Where it is zero every clause that
+    contains it vanishes.  Case splits on a sum of products meet such
+    clauses again and again, as they set the other variables of a
+    clause.  The best value (smallest for MIN, largest for MAX) goes
+    first, the clauses of semiring sums after every value, then most
     occurrences, then the smallest name.
     """
     best = None
     for expr in exprs:
         for side in (expr.left, expr.right) if type(expr) is Cmp else (expr,):
-            if type(side) not in (Scaled, MSum) or side.kind not in (MonoidKind.MIN, MonoidKind.MAX):
-                continue
-            sign = 1 if side.kind is MonoidKind.MIN else -1
-            for t in alg.sum_parts(side):
-                if type(t) is not Scaled:
+            t = type(side)
+            if t is Add:
+                if not boolean:
                     continue
-                for clause in alg.sum_parts(t.weight):
+                units = [(alg.INF, side.parts)]
+            elif (t is Scaled or t is MSum) and side.kind in _EXTREMES:
+                sign = 1 if side.kind is MonoidKind.MIN else -1
+                units = [
+                    (sign * s.value, alg.sum_parts(s.weight))
+                    for s in alg.sum_parts(side)
+                    if type(s) is Scaled
+                ]
+            else:
+                continue
+            for value, clauses in units:
+                for clause in clauses:
                     if type(clause) is Var:
-                        rank = (sign * t.value, -counts[clause.name], clause.name)
+                        rank = (value, -counts[clause.name], clause.name)
                         if best is None or rank < best:
                             best = rank
     return None if best is None else best[2]
@@ -655,11 +674,14 @@ class _Compiler:
         turns the tree into a DAG without changing any distribution.
         Expressions are interned, so the memo is keyed on identity, and a
         tuple of them is its own key; a semiring and a monoid constant of
-        one value share a leaf.  The walk keeps its own post-order stack:
+        one value share a leaf, and so, in the Boolean semiring, does a
+        sum with a non-zero constant part, which is 1 under every
+        valuation.  The walk keeps its own post-order stack:
         an input is expanded when first seen, and its node is built once
         the trees of its children lie on top of ``done``.
         """
         memo = self.memo
+        boolean = self.sk is SemiringKind.BOOLEAN
         done = []
         stack = [item]
         while stack:
@@ -671,7 +693,12 @@ class _Compiler:
                 del done[len(done) - n :]
                 done.append(node)
                 continue
-            key = ("k", item.value) if t is Const or t is MConst else item
+            if t is Const or t is MConst:
+                key = ("k", item.value)
+            elif t is Add and boolean and any(type(p) is Const and p.value for p in item.parts):
+                key, item = ("k", 1), Const(1)
+            else:
+                key = item
             node = memo.get(key)
             if node is None:
                 if self.remaining is not None:
@@ -730,7 +757,7 @@ class _Compiler:
             if node is not None:
                 return node
             exprs = (item,)
-        x = choose_branch_variable(*exprs)
+        x = choose_branch_variable(*exprs, sk=self.sk)
         entries = self.dist_of(x).entries
         return _mutex_node, (x, entries), [self.substitute(item, x, v) for v, _ in entries]
 
@@ -1253,7 +1280,15 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
     value, ``(Φ + Ψ) (x) v = Φ (x) v + Ψ (x) v``, which holds for MIN and
     MAX in both semirings as ``k1 + k2`` is non-zero exactly when ``k1``
     or ``k2`` is; repeated terms are dropped, as MIN and MAX are
-    idempotent.  A bound that decides the
+    idempotent.  When every kept term then lies in one class, which is
+    always so for ``<``, ``<=``, ``>`` and ``>=``, the comparison only
+    asks whether any kept clause fires: it is a constant where that class
+    has the truth of the empty sum's, and otherwise, in the Boolean
+    semiring, the disjunction of the kept clauses, ``[Σ clauses != 0]``
+    where the class is true and ``[Σ clauses = 0]`` where it is false.
+    The NATURAL semiring keeps the MIN or MAX form, whose sum the
+    compiler folds in at most three outcome values where a sum of
+    clauses would grow with them.  A bound that decides the
     comparison, such as ``+inf`` for MIN ``<=``, keeps no term, and the
     conditional folds to a constant.  For SUM,
     value bounds can force the comparison outright, in which case the
@@ -1291,6 +1326,17 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
             else:
                 split.append(t)
         kept = list(dict.fromkeys(split))
+        # Representatives make one class one value: when every kept term
+        # has it, the outcome is that class's where any term fires, and
+        # the empty sum's where none does.
+        value = kept[0].value
+        if all(type(t) is Scaled and t.value == value for t in kept):
+            fires = alg.compare(value, bound, theta)
+            if fires == alg.compare(kind.neutral, bound, theta):
+                return Const(1 if fires else 0)
+            if sk is SemiringKind.BOOLEAN:
+                weights = alg.make_sum([t.weight for t in kept])
+                return alg.make_cmp(weights, "!=" if fires else "=", Const(0))
         if len(kept) == len(terms) and all(map(operator.is_, kept, terms)):
             return cond
         return alg.make_cmp(alg.make_msum(kind, kept), theta, right)
@@ -1403,28 +1449,47 @@ def _sum_forced(theta, terms, bound, sk, var_dists):
 def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
     """Apply :func:`prune` to every conditional inside an expression.
 
-    Subtrees in which nothing changes are returned as they are.
+    Subtrees in which nothing changes are returned as they are.  Each
+    distinct sub-expression is pruned once, after its children, on the
+    walk's own stack, so a deep expression does not meet Python's
+    recursion limit.
     """
-    t = type(expr)
-    if t is Var or t is Const or t is MConst:
-        return expr
-    if t is Cmp:
-        left = prune_all(expr.left, sk, var_dists)
-        right = prune_all(expr.right, sk, var_dists)
-        return prune(Cmp(left, expr.theta, right), sk, var_dists)
-    if t is Scaled:
-        weight = prune_all(expr.weight, sk, var_dists)
-        if weight is expr.weight:
-            return expr
-        return alg.make_scaled(expr.kind, weight, expr.value)
-    if t is MSum:
-        pruned = [prune_all(c, sk, var_dists) for c in expr.terms]
-        if all(map(operator.is_, pruned, expr.terms)):
-            return expr
-        return alg.make_msum(expr.kind, pruned)
-    if t is Add or t is Mul:
-        pruned = [prune_all(c, sk, var_dists) for c in expr.parts]
-        if all(map(operator.is_, pruned, expr.parts)):
-            return expr
-        return (alg.make_sum if t is Add else alg.make_product)(pruned)
-    raise TypeError("not an expression: %r" % (expr,))
+    changed = {}  # sub-expression -> its pruned form, where that differs
+    seen = set()
+    stack = [expr]
+    pop = stack.pop
+    while stack:
+        e = pop()
+        t = type(e)
+        if t in _INNER:
+            if e not in seen:
+                kids = e.children()
+                stack.append(e)
+                stack.append(kids)
+                stack += kids
+        elif t is tuple:  # the children of the sub-expression below are done
+            kids, e = e, pop()
+            seen.add(e)
+            if type(e) is Cmp or not changed.keys().isdisjoint(kids):
+                out = _prune_node(e, [changed.get(c, c) for c in kids], sk, var_dists)
+                if out is not e:
+                    changed[e] = out
+        elif t not in _LEAVES:
+            raise TypeError("not an expression: %r" % (e,))
+    return changed.get(expr, expr)
+
+
+_INNER = frozenset((Cmp, Scaled, MSum, Add, Mul))
+_LEAVES = frozenset((Var, Const, MConst))
+
+
+def _prune_node(e, pruned, sk, var_dists):
+    """``e`` rebuilt from the ``pruned`` forms of its children, and
+    pruned itself if it is a conditional."""
+    if type(e) is Cmp:
+        return prune(Cmp(pruned[0], e.theta, pruned[1]), sk, var_dists)
+    if type(e) is Scaled:
+        return alg.make_scaled(e.kind, pruned[0], e.value)
+    if type(e) is MSum:
+        return alg.make_msum(e.kind, pruned)
+    return (alg.make_sum if type(e) is Add else alg.make_product)(pruned)

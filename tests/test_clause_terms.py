@@ -89,11 +89,14 @@ class TestClauseTerms:
 
     def test_one_term_per_clause_repeats_dropped(self):
         # 3 and 4 share the class of values <= 5, so both terms scale by
-        # 3, and the clause z then appears twice.
-        out = prune(parse_expr("[min{(x*y + z)(x)3 + (z + w)(x)4} <= 5]"))
-        assert out is parse_expr("[min{x*y(x)3 + z(x)3 + w(x)3} <= 5]")
-        out = prune(parse_expr("[max{(x + y)(x)7 + z(x)1} > 5]"))
-        assert out is parse_expr("[max{x(x)7 + y(x)7} > 5]")
+        # 3, and the clause z then appears twice.  Under B the one class
+        # left makes the conditional the disjunction of the clauses.
+        cond = parse_expr("[min{(x*y + z)(x)3 + (z + w)(x)4} <= 5]")
+        assert prune(cond, N) is parse_expr("[min{x*y(x)3 + z(x)3 + w(x)3} <= 5]")
+        assert prune(cond, B) is parse_expr("[x*y + z + w != 0]")
+        cond = parse_expr("[max{(x + y)(x)7 + z(x)1} > 5]")
+        assert prune(cond, N) is parse_expr("[max{x(x)7 + y(x)7} > 5]")
+        assert prune(cond, B) is parse_expr("[x + y != 0]")
 
     def test_constant_clause_decides(self):
         # (1 + x) is non-zero under every valuation, so its term is the

@@ -500,6 +500,30 @@ class TestSubcommands:
         declared = [ln for ln in dot.splitlines() if " [label=" in ln and "->" not in ln]
         assert len(declared) == nodes
 
+    def test_deep_alternating_expression_fits_the_default_recursion_limit(self, tmp_path):
+        # x0*(x1 + x2*(x3 + …x3000)) over fair coins: parsing, pruning,
+        # compilation and every reading of the tree keep their own stacks.
+        n = 3000
+        text, p = "x%d" % n, 0.5
+        for i in range(n - 1, -1, -1):
+            if i % 2:
+                text, p = "x%d + %s" % (i, text), 1 - 0.5 * (1 - p)
+            else:
+                text, p = "x%d*(%s)" % (i, text), 0.5 * p
+        expr = tmp_path / "e.txt"
+        expr.write_text(text + "\n")
+        probs = tmp_path / "p.tsv"
+        probs.write_text("".join("x%d\t0\t0.5\nx%d\t1\t0.5\n" % (i, i) for i in range(n + 1)))
+        code, out = run_cli("prob", "--expr-file", str(expr), "--probs", str(probs))
+        assert code == 0
+        got = dict(line.split("\t") for line in out.splitlines())
+        assert float(got["1"]) == pytest.approx(p, abs=1e-9)
+        assert float(got["0"]) == pytest.approx(1 - p, abs=1e-9)
+        code, dump = run_cli("dtree", "dump", "--expr-file", str(expr), "--probs", str(probs))
+        assert code == 0
+        # A leaf per variable and a node per level.
+        assert len(dump.splitlines()) == 2 * n + 1
+
     def test_dump_prints_the_tree_that_prob_reads(self, tmp_path):
         # Pruning rewrites a MIN conditional before it compiles; the dump
         # shows the pruned tree, whose distribution prob prints.

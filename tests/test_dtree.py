@@ -546,17 +546,28 @@ class TestReduceToBoolean:
 
 class TestPrune:
     def test_prune_all_keeps_unchanged_subtrees(self):
-        expr = parse_expr("y*[min{a(x)3 + b(x)3} <= 5] + z*[sum{a(x)2} >= 1]")
-        assert dtree.prune_all(expr) is expr
+        # Under N the MIN conditional keeps its form; under B one with
+        # kept terms in two classes (below and at 5) does.
+        for sk, cond in ((N, "[min{a(x)3 + b(x)3} <= 5]"), (B, "[min{a(x)3 + b(x)5} = 5]")):
+            expr = parse_expr("y*%s + z*[sum{a(x)2} >= 1]" % cond)
+            assert dtree.prune_all(expr, sk) is expr
         expr = parse_expr("y*[min{a(x)3 + b(x)9} <= 5] + z*[sum{a(x)2} >= 1]")
-        out = dtree.prune_all(expr)
+        out = dtree.prune_all(expr, N)
         assert alg.equivalent(out, parse_expr("y*[min{a(x)3} <= 5] + z*[sum{a(x)2} >= 1]"))
+        assert out.parts[1] is expr.parts[1]
+        out = dtree.prune_all(expr, B)
+        assert out is parse_expr("y*[a != 0] + z*[sum{a(x)2} >= 1]")
         assert out.parts[1] is expr.parts[1]
 
     def test_min_drops_terms_above_bound(self):
         cond = parse_expr("[min{x(x)10 + y(x)20} <= 15]")
-        out = prune(cond)
-        assert alg.equivalent(out, parse_expr("[min{x(x)10} <= 15]"))
+        assert alg.equivalent(prune(cond, N), parse_expr("[min{x(x)10} <= 15]"))
+        # In B only whether x fires is left to ask.
+        assert prune(cond, B) is parse_expr("[x != 0]")
+        dists = {"x": coin(0.3), "y": coin(0.6)}
+        for sk in (B, N):
+            got = distribution(dtree.compile(prune(cond, sk), dists, sk), sk)
+            assert got.close_to(brute_distribution(cond, dists, sk), 1e-12)
 
     def test_sum_collapses_when_total_fits(self):
         cond = parse_expr("[sum{x(x)5 + y(x)7} <= 15]")
@@ -565,7 +576,9 @@ class TestPrune:
 
     def test_nothing_prunable_left_unchanged(self):
         cond = parse_expr("[min{x(x)10} <= 15]")
-        assert prune(cond) is cond
+        assert prune(cond, N) is cond
+        cond = parse_expr("[min{x(x)10 + y(x)15} = 15]")
+        assert prune(cond, B) is cond
 
     def test_empty_keep_set_folds_to_constant(self):
         # min of the remaining (empty) sum is +inf, which decides the
@@ -599,18 +612,28 @@ class TestPrune:
 
     @pytest.mark.parametrize("kind,theta", sorted(REPRESENTATIVES))
     def test_values_become_class_representatives(self, kind, theta):
+        # Under N, and under B for = and != whose kept terms span two
+        # classes.  Under B the order thetas keep one class, true or
+        # false, which asks only whether a kept term fires.
         body = "%s{a(x)1 + b(x)3 + c(x)5 + d(x)7 + e(x)9}" % kind
         dists = {n: coin(0.3 + 0.1 * i) for i, n in enumerate("abcde")}
+        reps = self.REPRESENTATIVES[kind, theta]
         for cond in (parse_expr("[%s %s 5]" % (body, theta)),
                      parse_expr("[5 %s %s]" % (dtree._MIRROR[theta], body))):
-            out = prune(cond)
-            assert out.right == MConst(MonoidKind(kind), 5)
-            terms = {t.weight.name: t.value for t in alg.sum_parts(out.left)}
-            assert terms == self.REPRESENTATIVES[kind, theta]
-            assert prune(out) is out
             for sk in (B, N):
-                got = distribution(dtree.compile(out, dists, sk), sk)
-                assert got.close_to(brute_distribution(cond, dists, sk), 1e-12)
+                out = prune(cond, sk)
+                if sk is B and theta not in ("=", "!="):
+                    fires = alg.compare(next(iter(reps.values())), 5, theta)
+                    weights = alg.make_sum([Var(n) for n in reps])
+                    assert out is Cmp(weights, "!=" if fires else "=", Const(0))
+                else:
+                    assert out.right == MConst(MonoidKind(kind), 5)
+                    terms = {t.weight.name: t.value for t in alg.sum_parts(out.left)}
+                    assert terms == reps
+                assert prune(out, sk) is out
+                for target in (B, N):
+                    got = distribution(dtree.compile(out, dists, target), target)
+                    assert got.close_to(brute_distribution(cond, dists, target), 1e-12)
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     @pytest.mark.parametrize("theta", alg.THETAS)
@@ -640,7 +663,13 @@ class TestPrune:
     )
     def test_coarse_values_left_unchanged(self, text):
         cond = parse_expr(text)
-        assert prune(cond) is cond
+        assert prune(cond, N) is cond
+        if cond.theta in ("=", "!="):  # kept terms in two classes
+            assert prune(cond, B) is cond
+        else:  # one class, true: the disjunction of the clauses
+            side = cond.right if type(cond.left) is MConst else cond.left
+            weights = alg.make_sum([t.weight for t in side.terms])
+            assert prune(cond, B) is Cmp(weights, "!=", Const(0))
 
     def test_constant_part_keeps_its_order(self):
         # 4 and 2 are both below 5, so they share a class; the constant
@@ -829,7 +858,9 @@ class TestCompileJoint:
         assert set(got.support) == set(acc)
         for key, mass in acc.items():
             assert got[key] == pytest.approx(mass, abs=1e-12)
-        assert dtree.node_count(tree) == 20
+        # Every Boolean sum with a constant part is the one leaf of 1,
+        # and a clause of one variable goes first.
+        assert dtree.node_count(tree) == 17
 
 
 class TestValidator:
