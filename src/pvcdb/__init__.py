@@ -24,8 +24,6 @@ from .algebra import (
     Scaled,
     SemiringKind,
     Var,
-    eval_semimodule,
-    eval_semiring,
     variables,
 )
 from .dtree import (

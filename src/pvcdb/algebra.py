@@ -244,6 +244,11 @@ def _union(nodes):
     return mask
 
 
+def variable_of(bit):
+    """The name of the variable of a one-bit mask."""
+    return _VAR_NAMES[bit.bit_length() - 1]
+
+
 def _names(mask):
     """The variable names of the set bits of a mask."""
     names = []
@@ -291,6 +296,10 @@ class _Node:
             self._occ = occ
         return occ
 
+    def eval(self, nu, sk):
+        """The value under valuation ``nu`` in semiring ``sk`` (:func:`eval_under`)."""
+        return eval_under((self,), (nu,), sk)[0][0]
+
     def __del__(self, _table=_TABLE):
         # Drop the table entry unless a live node has taken the key over.
         ref = _table.get(self._ikey)
@@ -309,9 +318,6 @@ class Expr(_Node):
     """A semiring expression."""
 
     __slots__ = ()
-
-    def eval(self, nu, sk):
-        raise NotImplementedError
 
 
 class Var(Expr):
@@ -339,12 +345,6 @@ class Var(Expr):
         _free.append(bit)
         _forget(self)
 
-    def eval(self, nu, sk):
-        try:
-            return nu[self.name]
-        except KeyError:
-            raise UnboundVariable("variable %s is not bound" % self.name) from None
-
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -358,9 +358,6 @@ class Const(Expr):
             node = _new(cls, key, 0)
             node.value = value
         return node
-
-    def eval(self, nu, sk):
-        return sk.check_constant(self.value)
 
 
 class _Nary(Expr):
@@ -380,20 +377,12 @@ class _Nary(Expr):
     def children(self):
         return self.parts
 
-    def eval(self, nu, sk):
-        op = self._op(sk)
-        acc = self.parts[0].eval(nu, sk)
-        for p in self.parts[1:]:
-            acc = op(acc, p.eval(nu, sk))
-        return acc
-
 
 class Add(_Nary):
     """N-ary semiring sum."""
 
     __slots__ = ()
     _tag = "+"
-    _op = operator.attrgetter("add")
 
 
 class Mul(_Nary):
@@ -401,7 +390,6 @@ class Mul(_Nary):
 
     __slots__ = ()
     _tag = "*"
-    _op = operator.attrgetter("mul")
 
 
 class Cmp(Expr):
@@ -432,11 +420,6 @@ class Cmp(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def eval(self, nu, sk):
-        a = self.left.eval(nu, sk)
-        b = self.right.eval(nu, sk)
-        return 1 if compare(a, b, self.theta) else 0
-
 
 class MExpr(_Node):
     """A semimodule expression over one aggregation monoid."""
@@ -444,9 +427,6 @@ class MExpr(_Node):
     __slots__ = ()
 
     kind: MonoidKind
-
-    def eval(self, nu, sk):
-        raise NotImplementedError
 
 
 class MConst(MExpr):
@@ -471,9 +451,6 @@ class MConst(MExpr):
             node.value = value
         return node
 
-    def eval(self, nu, sk):
-        return self.value
-
 
 class Scaled(MExpr):
     """A scaled term ``weight (x) value`` with a constant monoid value."""
@@ -495,9 +472,6 @@ class Scaled(MExpr):
 
     def children(self):
         return (self.weight,)
-
-    def eval(self, nu, sk):
-        return scale(self.weight.eval(nu, sk), self.value, self.kind)
 
 
 class MSum(MExpr):
@@ -525,12 +499,6 @@ class MSum(MExpr):
 
     def children(self):
         return self.terms
-
-    def eval(self, nu, sk):
-        acc = self.kind.neutral
-        for t in self.terms:
-            acc = self.kind.plus(acc, t.eval(nu, sk))
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -766,18 +734,60 @@ def _substitute(expr, bit, const, done):
     return out
 
 
-def eval_semiring(expr, nu, sk):
-    """Evaluate a semiring expression under a valuation."""
-    if not isinstance(expr, Expr):
-        raise CarrierMismatch("expected a semiring expression, got %r" % (expr,))
-    return expr.eval(nu, sk)
+INNER = frozenset((Cmp, Scaled, MSum, Add, Mul))
+LEAVES = frozenset((Var, Const, MConst))
 
 
-def eval_semimodule(expr, nu, sk):
-    """Evaluate a semimodule expression to a monoid value."""
-    if not isinstance(expr, MExpr):
-        raise CarrierMismatch("expected a semimodule expression, got %r" % (expr,))
-    return expr.eval(nu, sk)
+def eval_under(exprs, nus, sk):
+    """The values of each of ``exprs`` in semiring ``sk`` under each
+    valuation of the sequence ``nus``: a list per expression.
+
+    One post-order walk on its own stack takes each distinct
+    sub-expression once, after its children, and computes its values
+    under all the valuations at once, so a deep expression does not meet
+    Python's recursion limit.
+    """
+    n = len(nus)
+    done = {}  # sub-expression -> its values
+    stack = list(exprs)
+    pop = stack.pop
+    while stack:
+        e = pop()
+        if e is None:  # the children of the node below are done
+            e = pop()
+            t = type(e)
+            if t is Add or t is Mul:
+                op = sk.add if t is Add else sk.mul
+                out = done[e.parts[0]]
+                for c in e.parts[1:]:
+                    out = list(map(op, out, done[c]))
+            elif t is Cmp:
+                holds = _THETA_FUNCS[e.theta]
+                out = [1 if holds(a, b) else 0 for a, b in zip(done[e.left], done[e.right])]
+            elif t is Scaled:
+                value, kind = e.value, e.kind
+                out = [scale(s, value, kind) for s in done[e.weight]]
+            else:  # a monoid sum, folded from the neutral element
+                out = [e.kind.neutral] * n
+                for c in e.terms:
+                    out = list(map(e.kind.plus, out, done[c]))
+            done[e] = out
+        elif e in done:
+            pass
+        elif type(e) in INNER:
+            stack += (e, None, *e.children())
+        elif type(e) is Var:
+            try:
+                done[e] = list(map(operator.itemgetter(e.name), nus))
+            except KeyError:
+                raise UnboundVariable("variable %s is not bound" % e.name) from None
+        elif type(e) is Const:
+            done[e] = [sk.check_constant(e.value)] * n
+        elif type(e) is MConst:
+            done[e] = [e.value] * n
+        else:
+            raise TypeError("not an expression: %r" % (e,))
+    return [done[e] for e in exprs]
 
 
 def sum_parts(expr):

@@ -47,7 +47,6 @@ from .engine import (
     Union,
     answer_distributions,
     describe,
-    evaluate,
 )
 from .errors import (
     DuplicateVariable,
@@ -288,12 +287,13 @@ def load_table(path):
     return table
 
 
-def load_probabilities(path):
+def load_probabilities(path, sk=None):
     """Read a probability file into one distribution per variable.
 
     Zero-probability lines are dropped, since such a value is outside the
     support; each variable's probabilities must sum to 1 within
-    ``prob.MASS_TOL``.
+    ``prob.MASS_TOL``, and with a semiring ``sk`` its values must lie in
+    that semiring (:func:`pvcdb.pvc.check_values`).
     """
     path = pathlib.Path(path)
     dists = {}
@@ -319,10 +319,11 @@ def load_probabilities(path):
         entries = dists.setdefault(var, [])
         if prob > 0:
             entries.append((value, prob))
-    return {
+    dists = {
         var: Distribution(entries).check_normalized(what="distribution of %s in %s" % (var, path))
         for var, entries in dists.items()
     }
+    return dists if sk is None else pvc.check_values(dists, sk)
 
 
 def load_database(table_paths, prob_path, semiring):
@@ -615,8 +616,8 @@ def _expr_tree(args):
     """The semiring and the tree of the expression, pruned, then
     compiled: what ``prob`` reads and ``dtree dump`` prints."""
     expr = _read_expr(args)
-    var_dists = load_probabilities(args.probs)
     sk = _semiring(args)
+    var_dists = load_probabilities(args.probs, sk)
     pruned = dtree.prune_all(expr, sk, var_dists)
     return sk, dtree.compile(pruned, var_dists, sk, args.node_budget)
 
@@ -631,7 +632,7 @@ def _cmd_oracle(args, out):
     sk = _semiring(args)
     if args.expr is not None or args.expr_file is not None:
         expr = _read_expr(args)
-        var_dists = load_probabilities(args.probs)
+        var_dists = load_probabilities(args.probs, sk)
         out.write(
             format_distribution(
                 oracle.brute_distribution(expr, var_dists, sk, args.world_limit)

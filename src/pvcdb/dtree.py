@@ -8,10 +8,14 @@ an expression is in this form, its exact probability distribution
 follows bottom-up: convolution at independent nodes, weighted mixture at
 mutex nodes.
 
-The compiler applies rules in a fixed order: constant folding, then an
-independent-sum split, an independent-product split, an independent
-scaling split, an independent comparison split, a joint-sum split, and
-finally a mutex expansion.  It splits on the variable with most
+The compiler applies rules in a fixed order: constant folding, then the
+one-variable rule, then an independent-sum split, an independent-product
+split, an independent scaling split, an independent comparison split, a
+joint-sum split, and finally a mutex expansion.  An expression, or a
+joint of them, over one variable is one leaf that holds its value at
+each value of the variable (:class:`VarLeaf`), so it costs no split and
+no convolution: its distribution pools the variable's.  Case splits
+take the variable with most
 occurrences, except in a MIN or MAX sum, or a Boolean semiring sum, with
 a clause of one variable, where that variable goes first (the unit rule,
 :func:`choose_branch_variable`).  The independence
@@ -52,11 +56,11 @@ comparisons, as sums (:meth:`_Compiler._joint_sum`): a sum is a *slot*,
 a comparison of a sum with a constant compares a slot, and a product of
 such comparisons multiplies them; in a joint, an expression of any
 other shape is a slot of its own, whole.  The terms of all slots are
-grouped by shared variables.  Two or more groups, or one group of one
-variable, make one :class:`JointSumNode`, the paper's independent sum taken over a tuple
-of semiring and semimodule sums, with a child per group: a leaf where
-the group has one variable, whose partial sums are evaluated at each of
-its values, else the group's tuple of partial sums, compiled by the same
+grouped by shared variables.  Two or more groups make one
+:class:`JointSumNode`, the paper's independent sum taken over a tuple
+of semiring and semimodule sums, with a child per group: the group's
+partial sum, or tuple of partial sums (one leaf where the group has one
+variable), compiled by the same
 compiler.  Its distribution folds the children slot by slot, each slot
 with its own sum, and applies the comparisons at the end.  A compared
 slot whose outcome classes are closed under its sum (MIN and MAX against
@@ -141,6 +145,7 @@ from .prob import (
     compare_convolve,
     convolve,
     extreme_convolve,
+    format_value,
     mix,
     sum_fold,
 )
@@ -161,14 +166,22 @@ class DNode:
 
 
 class VarLeaf(DNode):
-    __slots__ = ("name", "dist")
+    """A variable, or an expression of one variable: ``table[i]`` is its
+    value at the variable's i-th value, None for the variable itself."""
 
-    def __init__(self, name, dist):
+    __slots__ = ("name", "dist", "table")
+
+    def __init__(self, name, dist, table=None):
         self.name = name
         self.dist = dist
+        self.table = table
 
     def label(self):
-        return self.name
+        """The name, then ``{value:result ...}`` for a table."""
+        if self.table is None:
+            return self.name
+        cases = zip(map(format_value, self.dist.support), map(format_value, self.table))
+        return "%s{%s}" % (self.name, " ".join("%s:%s" % case for case in cases))
 
 
 class ConstLeaf(DNode):
@@ -280,23 +293,19 @@ class JointSumNode(DNode):
     ``pluses[k]`` from ``start[k]``.  ``outputs[j]`` gives expression j as
     a product of factors ``(k, theta, against)``, each ``[slot k theta
     against]``, or one factor ``(k, None, None)`` for slot k's value.
-    Child i adds its partial sums to the slots ``places[i]``: a tuple for
-    several places, a scalar for one, and through ``tables[i]``, when
-    that is not None, from the value of the variable of a leaf.  A slot
+    Child i adds its partial sums to the slots ``places[i]``: its value
+    is a tuple for several places, a scalar for one.  A slot
     with a bound in ``bounds`` carries the outcome class of its value
     against that bound instead of the value; ``idle[k]`` is what adds
     nothing to slot k.  A slot of ``plus`` None holds one whole
     expression, which one child or ``start`` sets.
     """
 
-    __slots__ = (
-        "parts", "places", "tables", "pluses", "bounds", "idle", "start", "outputs", "scalar"
-    )
+    __slots__ = ("parts", "places", "pluses", "bounds", "idle", "start", "outputs", "scalar")
 
-    def __init__(self, parts, places, tables, pluses, bounds, idle, start, outputs, scalar):
+    def __init__(self, parts, places, pluses, bounds, idle, start, outputs, scalar):
         self.parts = tuple(parts)
         self.places = places
-        self.tables = tables
         self.pluses = pluses
         self.bounds = bounds
         self.idle = idle
@@ -308,11 +317,13 @@ class JointSumNode(DNode):
         return self.parts
 
     def partials(self, i, value):
-        """What child i adds to its places when its value is ``value``."""
-        if self.tables[i] is not None:
-            return self.tables[i][value]
-        places = self.places[i]
-        return _lifted(self.bounds, places, value if len(places) > 1 else (value,))
+        """What child i adds to its places when its value is ``value``:
+        the outcome class (:func:`_side`) where a slot has a bound."""
+        places, bounds = self.places[i], self.bounds
+        values = value if len(places) > 1 else (value,)
+        return tuple(
+            [v if bounds[k] is None else _side(v, bounds[k]) for k, v in zip(places, values)]
+        )
 
     def add(self, slots, places, partials):
         new = list(slots)
@@ -526,19 +537,10 @@ def split_product(expr):
 
 
 def split_scale(expr):
-    """Factor a common semiring condition out of a scaled sum, or None."""
-    if type(expr) is Scaled:
-        # The whole condition, less its constant factors, which stay
-        # with the value.
-        factors = alg.product_factors(expr.weight)
-        consts = [f for f in factors if not f.mask]
-        if len(consts) == len(factors):
-            return None
-        if not consts:
-            return expr.weight, MConst(expr.kind, alg.scale(1, expr.value, expr.kind))
-        psi = alg.make_product([f for f in factors if f.mask])
-        return psi, alg.make_scaled(expr.kind, alg.make_product(consts), expr.value)
-    if not isinstance(expr, MSum):
+    """Factor a common semiring condition out of a scaled sum, or None.
+    Of one scaled term that is its whole condition, less its constant
+    factors, which stay with the value."""
+    if type(expr) is not MSum and type(expr) is not Scaled:
         return None
     terms = alg.sum_parts(expr)
     shared = -1
@@ -720,12 +722,16 @@ class _Compiler:
         to compile first, and ``make(trees, arg)`` builds the node from
         their trees.
 
-        A joint, and a product of comparisons of sums, whose sums fall
+        An input over one variable is one leaf (:meth:`_tabulated`).  A
+        joint, and a product of comparisons of sums, whose sums fall
         apart term by term is a :class:`JointSumNode`
         (:meth:`_joint_sum`); a joint that does not, like an expression
         that no independence split applies to, splits into cases.
         """
         if type(item) is tuple:
+            mask = functools.reduce(operator.or_, [e.mask for e in item])
+            if mask and not mask & (mask - 1):  # one variable
+                return self._tabulated(item, mask)
             node = self._joint_sum(item)
             if node is not None:
                 return node
@@ -736,8 +742,8 @@ class _Compiler:
                 raise TypeError("not an expression: %r" % (item,))
             if not item.mask:
                 return ConstLeaf(item.eval({}, self.sk))
-            if type(item) is Var:
-                return VarLeaf(item.name, self.dist_of(item.name))
+            if not item.mask & (item.mask - 1):  # one variable
+                return self._tabulated(item, item.mask)
             parts = split_sum(item)
             if parts is not None:
                 return SumNode, None if semiring else item.kind, parts
@@ -761,15 +767,28 @@ class _Compiler:
         entries = self.dist_of(x).entries
         return _mutex_node, (x, entries), [self.substitute(item, x, v) for v, _ in entries]
 
+    def _tabulated(self, item, mask):
+        """The leaf of an expression, or a joint of them, over the one
+        variable of ``mask``: its values at each value of the variable,
+        from one walk (:func:`pvcdb.algebra.eval_under`)."""
+        name = alg.variable_of(mask)
+        dist = self.dist_of(name)
+        if type(item) is Var:
+            return VarLeaf(name, dist)
+        nus = [{name: v} for v, _ in dist.entries]
+        if type(item) is tuple:
+            return VarLeaf(name, dist, tuple(zip(*alg.eval_under(item, nus, self.sk))))
+        return VarLeaf(name, dist, tuple(alg.eval_under((item,), nus, self.sk)[0]))
+
     def _joint_sum(self, item):
         """A :class:`JointSumNode` for a joint, or for a product of
         comparisons of sums, as ``(make, arg, children)``, or None.
 
         The terms of every sum are grouped by shared variables.  Two or
-        more groups, or one of one variable, make the node, with one
-        child per group.  Otherwise a joint of one expression, or one with
-        constant expressions, makes the node of its whole expressions, as
-        the scalar or smaller joint of the others.
+        more groups make the node, with one child per group.  Otherwise a
+        joint of one expression, or one with constant expressions, makes
+        the node of its whole expressions, as the scalar or smaller joint
+        of the others.
         """
         if type(item) is tuple:
             node = self._sum_node(item, [_factors(e) for e in item], False)
@@ -785,10 +804,9 @@ class _Compiler:
     def _sum_node(self, exprs, forms, scalar, always=False):
         """The node over ``exprs``, read as ``forms`` (:func:`_factors`,
         or None for a whole expression), if the terms of their sums fall
-        into two or more groups with variables, or one of one variable,
-        else None, unless ``always``.  Terms without variables add to the
-        sums' start; a whole expression without variables is a leaf of
-        its own."""
+        into two or more groups with variables, else None, unless
+        ``always``.  Terms without variables add to the sums' start; a
+        whole expression without variables is a leaf of its own."""
         sk = self.sk
         kinds, pluses, bounds, idle, start, outputs, keyed = [], [], [], [], [], [], []
         for expr, factors in zip(exprs, forms):
@@ -822,12 +840,10 @@ class _Compiler:
                 out.append((k, theta, 0 if lift else bound))
             outputs.append(tuple(out))
         groups = connected_groups(keyed)
-        masks = [functools.reduce(operator.or_, [t.mask for _, t in g]) for g in groups]
-        varying = [mask for mask in masks if mask]
-        if not always and len(varying) < 2 and not (varying and _one_bit(varying[0])):
+        if not always and sum(any(t.mask for _, t in g) for g in groups) < 2:
             return None
-        children, places, tables = [], [], []
-        for group, mask in zip(groups, masks):
+        children, places = [], []
+        for group in groups:
             by_slot = {}
             for k, t in group:
                 by_slot.setdefault(k, []).append(t)
@@ -837,19 +853,8 @@ class _Compiler:
                 for k in ks
             ]
             places.append(ks)
-            if mask and _one_bit(mask):  # one variable: a leaf and a table
-                name = next(iter(group[0][1].vars()))
-                children.append(Var(name))
-                tables.append(
-                    {
-                        v: _lifted(bounds, ks, [s.eval({name: v}, sk) for s in partial])
-                        for v in self.dist_of(name).support
-                    }
-                )
-            else:
-                children.append(partial[0] if len(ks) == 1 else tuple(partial))
-                tables.append(None)
-        arg = (places, tables, pluses, bounds, idle, tuple(start), outputs, scalar)
+            children.append(partial[0] if len(ks) == 1 else tuple(partial))
+        arg = (places, pluses, bounds, idle, tuple(start), outputs, scalar)
         return _joint_sum_node, arg, children
 
 
@@ -894,18 +899,6 @@ def _factors(expr):
             return None
         out.append((left, theta, right.value))
     return out
-
-
-def _one_bit(mask):
-    return not mask & (mask - 1)
-
-
-def _lifted(bounds, places, values):
-    """Partial sums at ``places`` as their slots carry them: the outcome
-    class (:func:`_side`) where the slot has a bound."""
-    return tuple(
-        v if bounds[k] is None else _side(v, bounds[k]) for k, v in zip(places, values)
-    )
 
 
 def _joint_sum_node(children, arg):
@@ -967,6 +960,10 @@ def distribution(d, sk=SemiringKind.BOOLEAN):
 
 def _distribution(d, sk, memo):
     """The distribution of one node, whose children's are in ``memo``."""
+    if isinstance(d, VarLeaf):
+        if d.table is None:
+            return d.dist
+        return Distribution.from_pairs(zip(d.table, [p for _, p in d.dist.entries]))
     if isinstance(d, MutexNode):
         weights = [p for _, p, _ in d.branches]
         return mix(weights, [memo[id(c)] for _, _, c in d.branches])
@@ -976,8 +973,6 @@ def _distribution(d, sk, memo):
         return convolve(
             memo[id(d.left)], memo[id(d.right)], lambda s, m: alg.scale(s, m, d.kind)
         )
-    if isinstance(d, VarLeaf):
-        return d.dist
     if isinstance(d, ConstLeaf):
         return Distribution.point(d.value)
     if isinstance(d, CmpNode):
@@ -1096,7 +1091,8 @@ def _eval_inputs(d, nu):
 def _eval_node(d, nu, sk, values):
     """The value of one node from the values of its inputs."""
     if isinstance(d, VarLeaf):
-        return nu[d.name]
+        value = nu[d.name]
+        return value if d.table is None else d.table[d.dist.support.index(value)]
     if isinstance(d, ConstLeaf):
         return d.value
     if isinstance(d, (SumNode, ProdNode)):
@@ -1120,7 +1116,8 @@ def validate(d, var_dists=None):
     """Check the structural discipline of a tree.
 
     Combination nodes must have pairwise variable-disjoint children, and
-    below a mutex node its variable must not occur; when distributions
+    below a mutex node its variable must not occur; a tabulated leaf
+    holds one value per value of its variable, and when distributions
     are supplied, mutex branches must enumerate exactly the non-zero
     support.  Raises ValueError on the first violation.  One pass takes
     each subtree's variables, as a bitmask, from its children's.
@@ -1138,6 +1135,9 @@ def validate(d, var_dists=None):
             mask |= below
         if isinstance(node, VarLeaf):
             mask |= bits.setdefault(node.name, 1 << len(bits))
+            if node.table is not None and len(node.table) != len(node.dist):
+                message = "leaf of %s has %d values for %d cases"
+                raise ValueError(message % (node.name, len(node.table), len(node.dist)))
         elif isinstance(node, MutexNode):
             bit = bits.setdefault(node.var, 1 << len(bits))
             if mask & bit:
@@ -1218,15 +1218,8 @@ def reduce_to_boolean(expr, var_dists):
         dist = var_dists.get(name)
         if dist is None:
             raise MissingDistribution("no distribution for variable %s" % name)
-        if all(v in (0, 1) for v in dist.support):
-            continue
-        p0 = dist[0]
-        entries = []
-        if p0 > 0:
-            entries.append((0, p0))
-        if 1.0 - p0 > 0:
-            entries.append((1, 1.0 - p0))
-        reduced[name] = Distribution(entries)
+        if dist.support[-1] > 1:
+            reduced[name] = Distribution.from_pairs((min(v, 1), p) for v, p in dist.entries)
     return _booleanize(expr), reduced
 
 
@@ -1461,7 +1454,7 @@ def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
     while stack:
         e = pop()
         t = type(e)
-        if t in _INNER:
+        if t in alg.INNER:
             if e not in seen:
                 kids = e.children()
                 stack.append(e)
@@ -1474,13 +1467,9 @@ def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
                 out = _prune_node(e, [changed.get(c, c) for c in kids], sk, var_dists)
                 if out is not e:
                     changed[e] = out
-        elif t not in _LEAVES:
+        elif t not in alg.LEAVES:
             raise TypeError("not an expression: %r" % (e,))
     return changed.get(expr, expr)
-
-
-_INNER = frozenset((Cmp, Scaled, MSum, Add, Mul))
-_LEAVES = frozenset((Var, Const, MConst))
 
 
 def _prune_node(e, pruned, sk, var_dists):

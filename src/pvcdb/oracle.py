@@ -10,15 +10,13 @@ agreement with the engine is an end-to-end check of both.
 
 from __future__ import annotations
 
-import itertools
-
 from . import algebra as alg
 from .algebra import MonoidKind, scale
 from .engine import AGG, AGG_NAMES, Aggregate, Base, Product, Project, Rename, Select, Union
 from .engine import base_relations, infer_schema, validate_query
-from .errors import SchemaMismatch, UnorderedCarrier, WorldLimitExceeded
+from .errors import SchemaMismatch, UnorderedCarrier
 from .prob import Distribution
-from .pvc import DEFAULT_WORLD_LIMIT, enumerate_worlds, world_count
+from .pvc import DEFAULT_WORLD_LIMIT, enumerate_worlds, valuation_batches
 
 
 def brute_distribution(expr, var_dists, sk, limit=DEFAULT_WORLD_LIMIT):
@@ -27,22 +25,11 @@ def brute_distribution(expr, var_dists, sk, limit=DEFAULT_WORLD_LIMIT):
     Valuations are visited in lexicographic order of the sorted variable
     supports, so runs are reproducible.
     """
-    names = sorted(alg.variables(expr))
-    total = 1
-    for v in names:
-        total *= len(var_dists[v])
-    if total > limit:
-        raise WorldLimitExceeded("%d valuations exceed the limit of %d" % (total, limit))
-    supports = [var_dists[v].entries for v in names]
     acc = {}
-    for combo in itertools.product(*supports):
-        nu = {}
-        prob = 1.0
-        for name, (value, p) in zip(names, combo):
-            nu[name] = value
-            prob *= p
-        outcome = expr.eval(nu, sk)
-        acc[outcome] = acc.get(outcome, 0.0) + prob
+    for nus, probs in valuation_batches(var_dists, sorted(alg.variables(expr)), limit):
+        (outcomes,) = alg.eval_under((expr,), nus, sk)
+        for outcome, prob in zip(outcomes, probs):
+            acc[outcome] = acc.get(outcome, 0.0) + prob
     return Distribution((v, p) for v, p in acc.items() if p > 0)
 
 
@@ -186,11 +173,6 @@ def brute_query(plan, db, limit=DEFAULT_WORLD_LIMIT):
     columns, roles = infer_schema(plan, db)
     referenced = sorted(set(base_relations(plan)))
     variables = db.variables_of(referenced)
-    if world_count(db, variables) > limit:
-        raise WorldLimitExceeded(
-            "%d worlds exceed the limit of %d"
-            % (world_count(db, variables), limit)
-        )
     schemas = {name: db.tables[name].columns for name in referenced}
     key_idx = [i for i, r in enumerate(roles) if r != AGG]
     agg_idx = [i for i, r in enumerate(roles) if r == AGG]

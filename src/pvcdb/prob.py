@@ -145,7 +145,7 @@ class Distribution:
 
 def _kept(acc):
     """The sorted entries of a value-to-mass dict above ``PRUNE_EPS``."""
-    return sorted(item for item in acc.items() if item[1] > PRUNE_EPS)
+    return sorted([item for item in acc.items() if item[1] > PRUNE_EPS])
 
 
 def convolve(p, q, op):
@@ -391,9 +391,9 @@ def mix(weights, children):
 # ---------------------------------------------------------------------------
 
 
-def _format_value(value):
+def format_value(value):
     if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
+        return ",".join(format_value(v) for v in value)
     if value == INF:
         return "+inf"
     if value == NEG_INF:
@@ -402,7 +402,7 @@ def _format_value(value):
 
 
 def format_distribution(d):
-    return "".join("%s\t%.12g\n" % (_format_value(v), p) for v, p in d.entries)
+    return "".join("%s\t%.12g\n" % (format_value(v), p) for v, p in d.entries)
 
 
 def _parse_value(text):

@@ -12,6 +12,7 @@ of the chosen value probabilities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import algebra as alg
@@ -22,13 +23,43 @@ from .errors import (
     MissingDistribution,
     WorldLimitExceeded,
 )
-from .prob import Distribution
 
 CONST = "const"
 AGG = "agg"
 
 #: Default cap on exhaustive world enumeration.
 DEFAULT_WORLD_LIMIT = 2**20
+
+#: Valuations evaluated together, in one walk of each expression.
+BATCH = 1024
+
+
+def check_values(var_dists, sk):
+    """``var_dists``, once the variables' values are checked against
+    semiring ``sk``: CarrierMismatch names a variable with a value
+    outside it.  Supports are sorted ints, so the least and the greatest
+    of their ends decide."""
+    ends = [(dist.entries[k][0], name) for name, dist in var_dists.items() for k in (0, -1)]
+    for value, name in (min(ends), max(ends)) if ends else ():
+        try:
+            sk.check_constant(value)
+        except CarrierMismatch as exc:
+            raise CarrierMismatch("value of %s: %s" % (name, exc)) from None
+    return var_dists
+
+
+def valuation_batches(var_dists, names, limit=DEFAULT_WORLD_LIMIT):
+    """Every valuation of ``names``, in lexicographic order of the sorted
+    supports, as lists of at most ``BATCH`` valuations, each for one walk
+    (:func:`pvcdb.algebra.eval_under`), and of their probabilities;
+    WorldLimitExceeded beyond ``limit``."""
+    total = math.prod(len(var_dists[v]) for v in names)
+    if total > limit:
+        raise WorldLimitExceeded("%d worlds exceed the limit of %d" % (total, limit))
+    combos = itertools.product(*[var_dists[v].entries for v in names])
+    while batch := list(itertools.islice(combos, BATCH)):
+        nus = [dict(zip(names, [v for v, _ in c])) for c in batch]
+        yield nus, [math.prod([p for _, p in c], start=1.0) for c in batch]
 
 
 @dataclass
@@ -90,8 +121,7 @@ class PvcDatabase:
     def validate(self):
         for name, dist in self.var_dists.items():
             dist.check_normalized(what="distribution of %s" % name)
-            for value in dist.support:
-                self.sk.check_constant(value)
+        check_values(self.var_dists, self.sk)
         for table in self.tables.values():
             for expr in table.expressions():
                 for v in alg.variables(expr):
@@ -123,11 +153,8 @@ class PvcDatabase:
 
 
 def world_count(db, variables=None):
-    names = sorted(variables if variables is not None else db.var_dists.keys())
-    total = 1
-    for v in names:
-        total *= len(db.var_dists[v])
-    return total
+    names = db.var_dists if variables is None else variables
+    return math.prod(len(db.var_dists[v]) for v in names)
 
 
 def enumerate_worlds(db, limit=DEFAULT_WORLD_LIMIT, variables=None, tables=None):
@@ -144,43 +171,35 @@ def enumerate_worlds(db, limit=DEFAULT_WORLD_LIMIT, variables=None, tables=None)
     the probability space; variables outside the subset marginalise out.
     """
     names = sorted(variables if variables is not None else db.var_dists.keys())
-    total = world_count(db, names)
-    if total > limit:
-        raise WorldLimitExceeded(
-            "%d worlds exceed the limit of %d" % (total, limit)
-        )
-    supports = [db.var_dists[v].entries for v in names]
-    for combo in itertools.product(*supports):
-        nu = {}
-        prob = 1.0
-        for name, (value, p) in zip(names, combo):
-            nu[name] = value
-            prob *= p
-        yield nu, instantiate(db, nu, tables), prob
+    for nus, probs in valuation_batches(db.var_dists, names, limit):
+        yield from zip(nus, _instantiate(db, nus, tables), probs)
 
 
 def instantiate(db, nu, tables=None):
     """The deterministic world defined by one valuation."""
-    world = {}
+    return _instantiate(db, [nu], tables)[0]
+
+
+def _instantiate(db, nus, tables):
+    """The worlds of several valuations: each annotation is evaluated
+    under all of them at once, each aggregate cell under those where its
+    row is present."""
+    worlds = [{} for _ in nus]  # table -> row values -> weight, per world
     wanted = db.tables if tables is None else {n: db.tables[n] for n in tables}
     for name, table in wanted.items():
-        merged = {}
-        order = []
+        merged = [world.setdefault(name, {}) for world in worlds]
         for values, phi in table.rows:
-            weight = phi.eval(nu, db.sk)
-            if weight == 0:
-                continue
-            concrete = tuple(
-                value.eval(nu, db.sk) if isinstance(value, MExpr) else value
-                for value in values
-            )
-            if concrete in merged:
-                merged[concrete] = db.sk.add(merged[concrete], weight)
-            else:
-                merged[concrete] = weight
-                order.append(concrete)
-        world[name] = tuple((values, merged[values]) for values in order)
-    return world
+            (weights,) = alg.eval_under((phi,), nus, db.sk)
+            present = [i for i, weight in enumerate(weights) if weight != 0]
+            there = [nus[i] for i in present]
+            cells = [
+                alg.eval_under((v,), there, db.sk)[0] if isinstance(v, MExpr) else [v] * len(there)
+                for v in values
+            ]
+            for i, concrete in zip(present, zip(*cells) if cells else [()] * len(present)):
+                rows, w = merged[i], weights[i]
+                rows[concrete] = db.sk.add(rows[concrete], w) if concrete in rows else w
+    return [{name: tuple(rows.items()) for name, rows in world.items()} for world in worlds]
 
 
 def semantics_mode(db):

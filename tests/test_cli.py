@@ -524,6 +524,50 @@ class TestSubcommands:
         # A leaf per variable and a node per level.
         assert len(dump.splitlines()) == 2 * n + 1
 
+    @pytest.mark.parametrize("shape", ["[%s != 0]", "x*(1 + %s)"])
+    def test_deep_one_variable_expression_fits_the_default_recursion_limit(
+        self, tmp_path, shape
+    ):
+        # Three thousand levels over one variable: prob compiles them to
+        # one leaf, tabulated by one walk with its own stack, and the
+        # oracle evaluates them on the same walk.  Both are x under bool.
+        text = "x"
+        for _ in range(3000):
+            text = shape % text
+        expr = tmp_path / "e.txt"
+        expr.write_text(text + "\n")
+        probs = tmp_path / "p.tsv"
+        probs.write_text("x\t0\t0.5\nx\t1\t0.5\n")
+        for command in ("prob", "oracle"):
+            code, out = run_cli(command, "--expr-file", str(expr), "--probs", str(probs))
+            assert (code, out) == (0, "0\t0.5\n1\t0.5\n"), command
+        code, dump = run_cli("dtree", "dump", "--expr-file", str(expr), "--probs", str(probs))
+        assert (code, dump) == (0, "n0 = x{0:0 1:1}\n")
+
+    @pytest.mark.parametrize("command", [["prob"], ["oracle"], ["dtree", "dump"]])
+    @pytest.mark.parametrize(
+        "semiring, probs, expr",
+        [
+            pytest.param("bool", "x\t0\t0.5\nx\t2\t0.5\n", "x", id="bool-x"),
+            pytest.param("bool", "x\t0\t0.5\nx\t2\t0.5\n", "x*x", id="bool-x*x"),
+            pytest.param("nat", "x\t-1\t0.5\nx\t1\t0.5\n", "sum{x(x)3}", id="nat-sum"),
+        ],
+    )
+    def test_values_outside_the_semiring_are_rejected(
+        self, tmp_path, capsys, command, semiring, probs, expr
+    ):
+        # Every expression command checks the variables' values against
+        # the semiring, as loading a database does; read without a
+        # semiring, the file loads as it is.
+        path = tmp_path / "p.tsv"
+        path.write_text(probs)
+        argv = [*command, "--expr", expr, "--probs", str(path), "--semiring", semiring]
+        assert run_cli(*argv) == (1, "")
+        assert capsys.readouterr().err.startswith("error: value of x: ")
+        with pytest.raises(CarrierMismatch, match="value of x"):
+            cli.load_probabilities(path, alg.SemiringKind(semiring))
+        assert len(cli.load_probabilities(path)["x"]) == 2
+
     def test_dump_prints_the_tree_that_prob_reads(self, tmp_path):
         # Pruning rewrites a MIN conditional before it compiles; the dump
         # shows the pruned tree, whose distribution prob prints.

@@ -437,6 +437,29 @@ class TestSoundness:
             dtree.validate(tree, dists)
             for nu in all_valuations(dists):
                 assert eval_dtree(tree, nu, B) == expr.eval(nu, B)
+        # An expression over one variable is one leaf, in both semirings.
+        universes = [(B, coin(0.3)), (N, Distribution([(0, 0.2), (1, 0.5), (2, 0.3)]))]
+        for sk, dist in universes:
+            dists = {"x": dist}
+            for expr in _one_variable_exprs():
+                tree = dtree.compile(expr, dists, sk)
+                assert isinstance(tree, VarLeaf) and node_count(tree) == 1, expr
+                dtree.validate(tree, dists)
+                assert distribution(tree, sk).close_to(brute_distribution(expr, dists, sk), 1e-9)
+                for nu in all_valuations(dists):
+                    assert eval_dtree(tree, nu, sk) == expr.eval(nu, sk)
+
+
+def _one_variable_exprs():
+    """Expressions over the one variable x: a sum in each monoid, each
+    compared with a constant by each theta, and a few that repeat x."""
+    out = [parse_expr(t) for t in ("x*x", "[x + x > 1]", "min{x (x) 3 + x (x) 5}")]
+    for kind in MonoidKind:
+        values = (1, 1) if kind is MonoidKind.COUNT else (3, 2)
+        side = parse_expr("%s{x(x)%d + x*x(x)%d}" % (kind.value, *values))
+        out.append(side)
+        out += [Cmp(side, theta, MConst(kind, 4)) for theta in alg.THETAS]
+    return out
 
 
 class TestAdversarialFuzz:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pvcdb import algebra as alg
 from pvcdb import cli, dtree
 from pvcdb.algebra import Cmp, Const, MConst, MonoidKind, SemiringKind, Var
-from pvcdb.dtree import JointSumNode, compile_joint, distribution, eval_dtree
+from pvcdb.dtree import JointSumNode, VarLeaf, compile_joint, distribution, eval_dtree
 from pvcdb.engine import answer_distributions
 from pvcdb.oracle import brute_query
 from pvcdb.prob import Distribution
@@ -29,11 +29,11 @@ TOL = 1e-9
 
 @st.composite
 def universes(draw):
-    """A semiring and distributions of 2 to 5 variables; under NATURAL
+    """A semiring and distributions of 1 to 5 variables; under NATURAL
     some take the values 0, 1 and 2."""
     sk = draw(st.sampled_from([B, N]))
     dists = {}
-    for i in range(draw(st.integers(2, 5))):
+    for i in range(draw(st.integers(1, 5))):
         if sk is N and draw(st.booleans()):
             w = draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
             dists["x%d" % i] = Distribution((k, w[k] / sum(w)) for k in range(3))
@@ -103,7 +103,11 @@ def _brute(exprs, dists, sk, scalar):
 
 
 def _check(tree, exprs, dists, sk, scalar):
+    """The tree agrees with enumeration on the distribution and reads
+    back every valuation; over one variable it is one leaf."""
     dtree.validate(tree, dists)
+    if len(frozenset().union(*(e.vars() for e in exprs))) == 1:
+        assert isinstance(tree, VarLeaf) and dtree.node_count(tree) == 1, exprs
     got = distribution(tree, sk)
     want = _brute(exprs, dists, sk, scalar)
     for key in set(got.support) | set(want):
