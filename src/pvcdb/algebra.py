@@ -22,6 +22,11 @@ finds them, and each node carries its variable set as an int bitmask
 over a process-wide variable index (see the section on expression
 trees).
 
+Every walk over an expression here and in :mod:`pvcdb.dtree`, but the
+sum-of-products normal form, is one bottom-up fold (:func:`fold`) on its
+own stack, so deep expressions meet no recursion limit; rewrites build
+nodes again through their smart constructors (:func:`rebuild`).
+
 Values are plain Python ints.  The Boolean semiring uses 0 for false and
 1 for true, which makes the set semantics a special case of the bag
 semantics.  Monoid carriers are non-negative 64-bit integers extended
@@ -287,14 +292,9 @@ class _Node:
     def occ(self):
         """Occurrence counts of variables by name, counting every
         position.  The mapping is shared with the node: do not change it."""
-        occ = self._occ
-        if occ is None:
-            occ = {}
-            for child in self.children():
-                for name, n in child.occ().items():
-                    occ[name] = occ.get(name, 0) + n
-            self._occ = occ
-        return occ
+        if self._occ is None:
+            fold((self,), _merged_occ, _CACHED_OCC)
+        return self._occ
 
     def eval(self, nu, sk):
         """The value under valuation ``nu`` in semiring ``sk`` (:func:`eval_under`)."""
@@ -334,10 +334,8 @@ class Var(Expr):
                 _VAR_NAMES.append(name)
             node = _new(cls, name, 1 << bit)
             node.name = name
+            node._occ = {name: 1}
         return node
-
-    def occ(self):
-        return {self.name: 1}
 
     def __del__(self, _names=_VAR_NAMES, _free=_FREE_BITS, _forget=_Node.__del__):
         bit = self.mask.bit_length() - 1
@@ -672,6 +670,77 @@ def make_cmp(left, theta, right):
     return Cmp(left, theta, right)
 
 
+def rebuild(e, parts):
+    """The inner node ``e`` built again, through its smart constructor,
+    from ``parts`` in place of its children."""
+    t = type(e)
+    if t is Add:
+        return make_sum(parts)
+    if t is Mul:
+        return make_product(parts)
+    if t is Scaled:
+        return make_scaled(e.kind, parts[0], e.value)
+    if t is MSum:
+        return make_msum(e.kind, parts)
+    if t is Cmp:
+        return make_cmp(parts[0], e.theta, parts[1])
+    raise TypeError("not an inner expression node: %r" % (e,))
+
+
+# ---------------------------------------------------------------------------
+# The bottom-up walk
+# ---------------------------------------------------------------------------
+
+
+def fold(roots, visit, memo, mask=None):
+    """Fill ``memo`` with ``memo[e] = visit(e)`` for every distinct
+    sub-expression ``e`` of ``roots`` that it does not hold yet, each
+    after its children, so that ``visit`` finds theirs in ``memo``.
+    With a ``mask``, only children that share a variable with it are
+    entered.  The walk keeps its own stack.  Returns ``memo``."""
+    stack = list(roots)
+    pop = stack.pop
+    while stack:
+        e = pop()
+        if e is None:  # the children of the node below are done
+            e = pop()
+        elif e in memo:
+            continue
+        else:
+            kids = e.children()
+            if kids and mask is not None:
+                kids = [c for c in kids if c.mask & mask and c not in memo]
+            if kids:
+                stack += (e, None, *kids)
+                continue
+        memo[e] = visit(e)
+    return memo
+
+
+class _CachedOcc:
+    """The occurrence counts cached on the nodes, as a memo for :func:`fold`."""
+
+    __slots__ = ()
+
+    def __contains__(self, e):
+        return e._occ is not None
+
+    def __setitem__(self, e, occ):
+        e._occ = occ
+
+
+_CACHED_OCC = _CachedOcc()
+
+
+def _merged_occ(e):
+    """The occurrence counts of ``e``, merged from its children's."""
+    occ = {}
+    for child in e.children():
+        for name, n in child._occ.items():
+            occ[name] = occ.get(name, 0) + n
+    return occ
+
+
 # ---------------------------------------------------------------------------
 # Structure queries
 # ---------------------------------------------------------------------------
@@ -702,92 +771,53 @@ def substitute(expr, name, value, done=None):
     var = _TABLE.get(name, _MISSING)()
     if var is None or not expr.mask & var.mask:
         return expr
-    return _substitute(expr, var.mask, Const(value), {} if done is None else done)
+    done = {} if done is None else done
+    done[var] = Const(value)
 
+    def visit(e):  # an inner node that holds the variable
+        kids = e.children()
+        return rebuild(e, list(map(done.get, kids, kids)))
 
-def _substitute(expr, bit, const, done):
-    """``expr``, which contains the variable of ``bit``, with ``const``
-    in its place."""
-    t = type(expr)
-    if t is Var:
-        return const
-    out = done.get(expr)
-    if out is not None:
-        return out
-    if t is Scaled:  # the weight holds every variable of the term
-        out = make_scaled(expr.kind, _substitute(expr.weight, bit, const, done), expr.value)
-    else:
-        parts = [
-            _substitute(p, bit, const, done) if p.mask & bit else p for p in expr.children()
-        ]
-        if t is Add:
-            out = make_sum(parts)
-        elif t is Mul:
-            out = make_product(parts)
-        elif t is MSum:
-            out = make_msum(expr.kind, parts)
-        elif t is Cmp:
-            out = make_cmp(parts[0], expr.theta, parts[1])
-        else:
-            raise TypeError("not an expression: %r" % (expr,))
-    done[expr] = out
-    return out
-
-
-INNER = frozenset((Cmp, Scaled, MSum, Add, Mul))
-LEAVES = frozenset((Var, Const, MConst))
+    return fold((expr,), visit, done, var.mask)[expr]
 
 
 def eval_under(exprs, nus, sk):
     """The values of each of ``exprs`` in semiring ``sk`` under each
     valuation of the sequence ``nus``: a list per expression.
 
-    One post-order walk on its own stack takes each distinct
-    sub-expression once, after its children, and computes its values
-    under all the valuations at once, so a deep expression does not meet
-    Python's recursion limit.
+    One :func:`fold` computes each distinct sub-expression's values
+    under all the valuations at once, from its children's.
     """
     n = len(nus)
     done = {}  # sub-expression -> its values
-    stack = list(exprs)
-    pop = stack.pop
-    while stack:
-        e = pop()
-        if e is None:  # the children of the node below are done
-            e = pop()
-            t = type(e)
-            if t is Add or t is Mul:
-                op = sk.add if t is Add else sk.mul
-                out = done[e.parts[0]]
-                for c in e.parts[1:]:
-                    out = list(map(op, out, done[c]))
-            elif t is Cmp:
-                holds = _THETA_FUNCS[e.theta]
-                out = [1 if holds(a, b) else 0 for a, b in zip(done[e.left], done[e.right])]
-            elif t is Scaled:
-                value, kind = e.value, e.kind
-                out = [scale(s, value, kind) for s in done[e.weight]]
-            else:  # a monoid sum, folded from the neutral element
-                out = [e.kind.neutral] * n
-                for c in e.terms:
-                    out = list(map(e.kind.plus, out, done[c]))
-            done[e] = out
-        elif e in done:
-            pass
-        elif type(e) in INNER:
-            stack += (e, None, *e.children())
-        elif type(e) is Var:
+
+    def visit(e):
+        t = type(e)
+        if t is Var:
             try:
-                done[e] = list(map(operator.itemgetter(e.name), nus))
+                return list(map(operator.itemgetter(e.name), nus))
             except KeyError:
                 raise UnboundVariable("variable %s is not bound" % e.name) from None
-        elif type(e) is Const:
-            done[e] = [sk.check_constant(e.value)] * n
-        elif type(e) is MConst:
-            done[e] = [e.value] * n
-        else:
-            raise TypeError("not an expression: %r" % (e,))
-    return [done[e] for e in exprs]
+        if t is Const:
+            return [sk.check_constant(e.value)] * n
+        if t is MConst:
+            return [e.value] * n
+        if t is Scaled:
+            value, kind = e.value, e.kind
+            return [scale(s, value, kind) for s in done[e.weight]]
+        if t is Cmp:
+            holds = _THETA_FUNCS[e.theta]
+            return [1 if holds(a, b) else 0 for a, b in zip(done[e.left], done[e.right])]
+        if t is Add or t is Mul or t is MSum:  # MSum too: neutral + x is x
+            op = sk.add if t is Add else sk.mul if t is Mul else e.kind.plus
+            kids = e.children()
+            out = done[kids[0]]
+            for c in kids[1:]:
+                out = list(map(op, out, done[c]))
+            return out
+        raise TypeError("not an expression: %r" % (e,))
+
+    return list(map(fold(exprs, visit, done).__getitem__, exprs))
 
 
 def sum_parts(expr):
@@ -805,12 +835,6 @@ def product_factors(expr):
     if isinstance(expr, Mul):
         return list(expr.parts)
     return [expr]
-
-
-def rebuild_sum(parts, kind=None):
-    if kind is not None:
-        return make_msum(kind, parts)
-    return make_sum(parts)
 
 
 # ---------------------------------------------------------------------------

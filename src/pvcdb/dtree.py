@@ -89,7 +89,8 @@ that reads a tree (:func:`distribution`, :func:`eval_dtree`,
 once, after its children, from one generator (:func:`_post_order`).
 That walk, like the compiler's, keeps its own stack, so a deep
 case-split chain does not meet Python's recursion limit.  Nodes hold
-only their structure.
+only their structure.  Substitution, pruning, weight bounds and the
+Boolean reduction walk expressions with :func:`pvcdb.algebra.fold`.
 
 Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
 constant for this: it keeps the terms that can decide the comparison,
@@ -112,6 +113,7 @@ is zero every clause that contains it vanishes.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import Counter
 
@@ -149,6 +151,7 @@ from .prob import (
     mix,
     sum_fold,
 )
+from .pvc import check_values
 
 # ---------------------------------------------------------------------------
 # Nodes
@@ -462,8 +465,7 @@ def split_sum(expr):
     groups = _components(parts)
     if len(groups) < 2:
         return None
-    kind = expr.kind if isinstance(expr, MExpr) else None
-    return [alg.rebuild_sum(g, kind) for g in groups]
+    return [alg.rebuild(expr, g) for g in groups]
 
 
 def _disjoint(parts):
@@ -656,10 +658,17 @@ class _Compiler:
         self.substitutions = {}
 
     def dist_of(self, name):
+        """The variable's distribution, the ends of its support checked
+        against the semiring (:func:`pvcdb.pvc.check_values` names a misfit)."""
         try:
-            return self.var_dists[name]
+            dist = self.var_dists[name]
         except KeyError:
             raise MissingDistribution("no distribution for variable %s" % name) from None
+        lo, hi = dist.entries[0][0], dist.entries[-1][0]
+        boolean = self.sk is SemiringKind.BOOLEAN
+        if not (type(lo) is type(hi) is int and lo >= 0 and (hi <= 1 or not boolean)):
+            check_values({name: dist}, self.sk)
+        return dist
 
     def substitute(self, item, x, value):
         """An expression, or each of a joint's, with ``value`` for ``x``."""
@@ -808,7 +817,7 @@ class _Compiler:
         ``always``.  Terms without variables add to the sums' start; a
         whole expression without variables is a leaf of its own."""
         sk = self.sk
-        kinds, pluses, bounds, idle, start, outputs, keyed = [], [], [], [], [], [], []
+        sums, pluses, bounds, idle, start, outputs, keyed = [], [], [], [], [], [], []
         for expr, factors in zip(exprs, forms):
             out = []
             for s, theta, bound in factors or ((expr, None, None),):
@@ -833,7 +842,7 @@ class _Compiler:
                     else:
                         v = t.eval({}, sk)
                         first = plus(first, _side(v, bound) if lift else v)
-                kinds.append(kind)
+                sums.append(functools.partial(alg.make_msum, kind) if kind else alg.make_sum)
                 pluses.append(plus)
                 bounds.append(bound if lift else None)
                 start.append(first)
@@ -849,7 +858,7 @@ class _Compiler:
                 by_slot.setdefault(k, []).append(t)
             ks = tuple(sorted(by_slot))
             partial = [
-                by_slot[k][0] if pluses[k] is None else alg.rebuild_sum(by_slot[k], kinds[k])
+                by_slot[k][0] if pluses[k] is None else sums[k](by_slot[k])
                 for k in ks
             ]
             places.append(ks)
@@ -1212,7 +1221,19 @@ def reduce_to_boolean(expr, var_dists):
     """
     if not isinstance(expr, MExpr) or expr.kind not in (MonoidKind.MIN, MonoidKind.MAX):
         raise WrongMonoid("reduction applies to MIN and MAX expressions only")
-    _check_plain(expr)
+    booleanized = {}
+
+    def visit(e):  # the Boolean form of e, over its children's
+        t = type(e)
+        if t is Cmp:
+            raise CarrierMismatch("reduction requires condition-free semiring parts")
+        if t is Const:
+            return Const(0 if e.value == 0 else 1)
+        if t is Var or t is MConst:
+            return e
+        return alg.rebuild(e, [booleanized[c] for c in e.children()])
+
+    out = alg.fold((expr,), visit, booleanized)[expr]
     reduced = dict(var_dists)
     for name in alg.variables(expr):
         dist = var_dists.get(name)
@@ -1220,38 +1241,7 @@ def reduce_to_boolean(expr, var_dists):
             raise MissingDistribution("no distribution for variable %s" % name)
         if dist.support[-1] > 1:
             reduced[name] = Distribution.from_pairs((min(v, 1), p) for v, p in dist.entries)
-    return _booleanize(expr), reduced
-
-
-def _check_plain(expr):
-    if isinstance(expr, Cmp):
-        raise CarrierMismatch("reduction requires condition-free semiring parts")
-    if isinstance(expr, (Add, Mul)):
-        for p in expr.parts:
-            _check_plain(p)
-    elif isinstance(expr, Scaled):
-        _check_plain(expr.weight)
-    elif isinstance(expr, MSum):
-        for t in expr.terms:
-            _check_plain(t)
-
-
-def _booleanize(expr):
-    if isinstance(expr, Const):
-        return Const(0 if expr.value == 0 else 1)
-    if isinstance(expr, Var):
-        return expr
-    if isinstance(expr, Add):
-        return alg.make_sum([_booleanize(p) for p in expr.parts])
-    if isinstance(expr, Mul):
-        return alg.make_product([_booleanize(p) for p in expr.parts])
-    if isinstance(expr, MConst):
-        return expr
-    if isinstance(expr, Scaled):
-        return alg.make_scaled(expr.kind, _booleanize(expr.weight), expr.value)
-    if isinstance(expr, MSum):
-        return alg.make_msum(expr.kind, [_booleanize(t) for t in expr.terms])
-    raise TypeError("not an expression: %r" % (expr,))
+    return out, reduced
 
 
 # ---------------------------------------------------------------------------
@@ -1386,49 +1376,58 @@ def _class_representatives(terms, kind, theta, bound):
     return out
 
 
-def _weight_bounds(expr, sk, var_dists):
-    """Smallest and largest semiring value an expression can take, or
-    None when the supports needed are unavailable."""
-    if isinstance(expr, Const):
-        return expr.value, expr.value
-    if isinstance(expr, Cmp):
+class _Bounds(dict):
+    """Weight bounds by sub-expression, a :func:`pvcdb.algebra.fold` memo
+    that holds every conditional: 0 or 1, so its sides are not entered."""
+
+    def __contains__(self, e):
+        return type(e) is Cmp or dict.__contains__(self, e)
+
+    def __missing__(self, e):
+        if type(e) is not Cmp:
+            raise KeyError(e)
         return 0, 1
-    if isinstance(expr, Var):
+
+
+def _weight_bounds(expr, bounds, sk, var_dists):
+    """Smallest and largest semiring value an expression can take, from
+    its children's in ``bounds``, or None when the supports needed are
+    unavailable."""
+    t = type(expr)
+    if t is Const:
+        return expr.value, expr.value
+    if t is Var:
         if sk is SemiringKind.BOOLEAN:
             return 0, 1
         if var_dists is None or expr.name not in var_dists:
             return None
         support = var_dists[expr.name].support
         return min(support), max(support)
-    if isinstance(expr, Add):
-        lo, hi = 0, 0
-        for p in expr.parts:
-            b = _weight_bounds(p, sk, var_dists)
-            if b is None:
-                return None
-            lo, hi = lo + b[0], hi + b[1]
-        if sk is SemiringKind.BOOLEAN:
+    if t is Add or t is Mul:
+        parts = [bounds[p] for p in expr.parts]
+        if None in parts:
+            return None
+        combine = sum if t is Add else math.prod
+        lo, hi = map(combine, zip(*parts))
+        if t is Add and sk is SemiringKind.BOOLEAN:
             lo, hi = min(lo, 1), min(hi, 1)
-        return lo, hi
-    if isinstance(expr, Mul):
-        lo, hi = 1, 1
-        for p in expr.parts:
-            b = _weight_bounds(p, sk, var_dists)
-            if b is None:
-                return None
-            lo, hi = lo * b[0], hi * b[1]
         return lo, hi
     return None
 
 
 def _sum_forced(theta, terms, bound, sk, var_dists):
+    """The constant a SUM or COUNT conditional over ``terms`` folds to
+    when the bounds of their weights decide it, else None."""
+    bounds = _Bounds()
+    visit = functools.partial(_weight_bounds, bounds=bounds, sk=sk, var_dists=var_dists)
+    alg.fold([t.weight for t in terms if type(t) is Scaled], visit, bounds)
     lo, hi = 0, 0
     for t in terms:
-        if isinstance(t, MConst):
+        if type(t) is MConst:
             lo += t.value
             hi += t.value
             continue
-        b = _weight_bounds(t.weight, sk, var_dists)
+        b = bounds[t.weight]
         if b is None:
             return None
         lo += b[0] * t.value
@@ -1443,42 +1442,17 @@ def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
     """Apply :func:`prune` to every conditional inside an expression.
 
     Subtrees in which nothing changes are returned as they are.  Each
-    distinct sub-expression is pruned once, after its children, on the
-    walk's own stack, so a deep expression does not meet Python's
-    recursion limit.
+    distinct sub-expression is pruned once, after its children
+    (:func:`pvcdb.algebra.fold`).
     """
-    changed = {}  # sub-expression -> its pruned form, where that differs
-    seen = set()
-    stack = [expr]
-    pop = stack.pop
-    while stack:
-        e = pop()
-        t = type(e)
-        if t in alg.INNER:
-            if e not in seen:
-                kids = e.children()
-                stack.append(e)
-                stack.append(kids)
-                stack += kids
-        elif t is tuple:  # the children of the sub-expression below are done
-            kids, e = e, pop()
-            seen.add(e)
-            if type(e) is Cmp or not changed.keys().isdisjoint(kids):
-                out = _prune_node(e, [changed.get(c, c) for c in kids], sk, var_dists)
-                if out is not e:
-                    changed[e] = out
-        elif t not in alg.LEAVES:
-            raise TypeError("not an expression: %r" % (e,))
-    return changed.get(expr, expr)
+    pruned = {}  # sub-expression -> its pruned form
 
+    def visit(e):
+        if type(e) is Cmp:
+            return prune(Cmp(pruned[e.left], e.theta, pruned[e.right]), sk, var_dists)
+        for c in e.children():
+            if pruned[c] is not c:
+                return alg.rebuild(e, list(map(pruned.__getitem__, e.children())))
+        return e
 
-def _prune_node(e, pruned, sk, var_dists):
-    """``e`` rebuilt from the ``pruned`` forms of its children, and
-    pruned itself if it is a conditional."""
-    if type(e) is Cmp:
-        return prune(Cmp(pruned[0], e.theta, pruned[1]), sk, var_dists)
-    if type(e) is Scaled:
-        return alg.make_scaled(e.kind, pruned[0], e.value)
-    if type(e) is MSum:
-        return alg.make_msum(e.kind, pruned)
-    return (alg.make_sum if type(e) is Add else alg.make_product)(pruned)
+    return alg.fold((expr,), visit, pruned)[expr]

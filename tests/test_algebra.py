@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import pathlib
 import random
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pvcdb
 from pvcdb import algebra as alg
@@ -597,3 +600,83 @@ class TestHashConsing:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert int(outs[0].split()[1]) > 0
+
+
+NAMES = ("a", "b", "c")
+
+
+@st.composite
+def _expressions(draw, sk, depth=3):
+    """A semiring expression over NAMES with every node type: sums,
+    products and conditionals built raw or through the smart
+    constructors, conditionals on semiring and on monoid sides, and
+    scaled terms and monoid sums over all five monoids."""
+    consts = (0, 1) if sk is B else (0, 1, 2)
+
+    def semiring(depth):
+        shape = draw(st.integers(0, 4 if depth else 1))
+        if shape == 0:
+            return Var(draw(st.sampled_from(NAMES)))
+        if shape == 1:
+            return Const(draw(st.sampled_from(consts)))
+        if shape in (2, 3):
+            parts = [semiring(depth - 1) for _ in range(draw(st.integers(2, 3)))]
+            raw, smart = (Add, alg.make_sum) if shape == 2 else (Mul, alg.make_product)
+            return (raw if draw(st.booleans()) else smart)(parts)
+        if draw(st.booleans()):
+            left, right = semiring(depth - 1), semiring(depth - 1)
+        else:
+            left, right = monoid(depth - 1), monoid(depth - 1)
+        build = Cmp if draw(st.booleans()) else alg.make_cmp
+        return build(left, draw(st.sampled_from(alg.THETAS)), right)
+
+    def monoid(depth):
+        kind = draw(st.sampled_from(list(MonoidKind)))
+        values = st.integers(0, 1 if kind is MonoidKind.PROD else 9)
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.integers(0, 3)):
+                build = Scaled if draw(st.booleans()) else alg.make_scaled
+                terms.append(build(kind, semiring(max(depth - 1, 0)), draw(values)))
+            else:
+                terms.append(MConst(kind, draw(values)))
+        if len(terms) == 1:
+            return terms[0]
+        return (MSum if draw(st.booleans()) else alg.make_msum)(kind, terms)
+
+    return semiring(depth)
+
+
+def _subexpressions(expr):
+    return list(alg.fold((expr,), lambda e: e, {}))
+
+
+class TestSubstitution:
+    """``substitute`` against evaluation, over both semirings and
+    0/1/2-valued NATURAL variables."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_substitute_evaluates_like_the_binding(self, data):
+        sk = data.draw(st.sampled_from([B, N]))
+        values = (0, 1) if sk is B else (0, 1, 2)
+        exprs = data.draw(st.lists(_expressions(sk), min_size=1, max_size=3))
+        x, v = data.draw(st.sampled_from(NAMES)), data.draw(st.sampled_from(values))
+        nus = [
+            dict(zip(NAMES, combo), **{x: v})
+            for combo in itertools.product(values, repeat=len(NAMES))
+            if combo[NAMES.index(x)] == v
+        ]
+        shared = {}
+        for expr in exprs:
+            out = alg.substitute(expr, x, v, shared)
+            assert out is alg.substitute(expr, x, v)  # a fresh memo agrees
+            assert x not in out.vars()
+            try:
+                want = alg.eval_under((expr,), nus, sk)
+            except ArithmeticOverflow:
+                continue
+            assert alg.eval_under((out,), nus, sk) == want, (expr, out)
+            for sub in _subexpressions(expr):
+                if x not in sub.vars():
+                    assert alg.substitute(sub, x, v, shared) is sub

@@ -544,6 +544,42 @@ class TestSubcommands:
         code, dump = run_cli("dtree", "dump", "--expr-file", str(expr), "--probs", str(probs))
         assert (code, dump) == (0, "n0 = x{0:0 1:1}\n")
 
+    @staticmethod
+    def _shared_tail(tmp_path, levels, shape):
+        """``shape`` around ``x0*(x1 + x2*(… x<levels>)) + x<levels>*y``
+        over fair coins.  The last variable is in both summands, so no
+        independence split applies: the compiler counts occurrences,
+        splits a case on it and substitutes it all the way down."""
+        text = "x%d" % levels
+        for i in range(levels - 1, -1, -1):
+            text = ("x%d + %s" if i % 2 else "x%d*(%s)") % (i, text)
+        expr = tmp_path / "e.txt"
+        expr.write_text(shape % ("%s + x%d*y" % (text, levels)) + "\n")
+        names = ["x%d" % i for i in range(levels + 1)] + ["y"]
+        probs = tmp_path / "p.tsv"
+        probs.write_text("".join("%s\t0\t0.5\n%s\t1\t0.5\n" % (n, n) for n in names))
+        return str(expr), str(probs)
+
+    @pytest.mark.parametrize("semiring", ["bool", "nat"])
+    @pytest.mark.parametrize("shape", ["%s", "[sum{(%s)(x)3} <= 2]"])
+    def test_deep_case_split_fits_the_default_recursion_limit(self, tmp_path, semiring, shape):
+        # Three thousand levels that need a case split: occurrence
+        # counts, substitution and, in the SUM conditional, the bounds
+        # of the weight are folds with their own stack.  Fourteen levels
+        # agree with the oracle.
+        for levels in (14, 3000):
+            expr, probs = self._shared_tail(tmp_path, levels, shape)
+            argv = ["--expr-file", expr, "--probs", probs, "--semiring", semiring]
+            code, out = run_cli("prob", *argv)
+            assert code == 0
+            got = {int(v): float(p) for v, p in (ln.split("\t") for ln in out.splitlines())}
+            assert sum(got.values()) == pytest.approx(1, abs=1e-9)
+            if levels == 14:
+                code, want = run_cli("oracle", *argv)
+                assert code == 0
+                want = dict(ln.split("\t") for ln in want.splitlines())
+                assert got == pytest.approx({int(v): float(p) for v, p in want.items()})
+
     @pytest.mark.parametrize("command", [["prob"], ["oracle"], ["dtree", "dump"]])
     @pytest.mark.parametrize(
         "semiring, probs, expr",

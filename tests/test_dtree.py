@@ -6,7 +6,7 @@ import pytest
 
 from pvcdb import algebra as alg
 from pvcdb import cli, dtree
-from pvcdb.algebra import Cmp, Const, INF, MConst, MonoidKind, SemiringKind, Var
+from pvcdb.algebra import Cmp, Const, INF, MConst, MonoidKind, Scaled, SemiringKind, Var
 from pvcdb.dtree import (
     ConstLeaf,
     MutexNode,
@@ -25,7 +25,13 @@ from pvcdb.dtree import (
     split_scale,
     split_sum,
 )
-from pvcdb.errors import ArithmeticOverflow, BudgetExceeded, NoVariables, WrongMonoid
+from pvcdb.errors import (
+    ArithmeticOverflow,
+    BudgetExceeded,
+    CarrierMismatch,
+    NoVariables,
+    WrongMonoid,
+)
 from pvcdb.exprtext import parse_expr
 from pvcdb.oracle import brute_distribution
 from pvcdb.prob import Distribution
@@ -206,6 +212,22 @@ class TestCompileShapes:
         dists = {v: coin() for v in "abc"}
         with pytest.raises(BudgetExceeded):
             dtree.compile(expr, dists, B, node_budget=3)
+
+    def test_values_outside_the_semiring_are_rejected(self):
+        # Called directly, the compiler checks a variable's values as
+        # loading a database does, whether it tabulates the variable or
+        # splits a case on it.
+        with pytest.raises(CarrierMismatch, match="value of x: constant 2"):
+            dtree.compile(parse_expr("x*x"), {"x": Distribution([(0, 0.5), (2, 0.5)])}, B)
+        with pytest.raises(CarrierMismatch, match="value of x: .*non-negative: -1"):
+            compile_joint(
+                [parse_expr("sum{x(x)3}")], {"x": Distribution([(-1, 0.5), (1, 0.5)])}, N
+            )
+        dists = {"x": coin(), "y": Distribution([(0, 0.5), (2, 0.5)]), "z": coin()}
+        with pytest.raises(CarrierMismatch, match="value of y: constant 2"):
+            dtree.compile(parse_expr("x*y + x*z"), dists, B)
+        tree = dtree.compile(parse_expr("x*x"), {"x": Distribution([(0, 0.5), (2, 0.5)])}, N)
+        assert distribution(tree, N).entries == ((0, 0.5), (4, 0.5))
 
 
 class TestDistribution:
@@ -566,8 +588,60 @@ class TestReduceToBoolean:
         with pytest.raises(WrongMonoid):
             reduce_to_boolean(parse_expr("sum{x(x)5}"), {"x": coin()})
 
+    def test_deep_weight_fits_the_default_recursion_limit(self):
+        # MIN over a weight of 3,000 alternating levels,
+        # x0*(x1 + x2*(… 2*x3000)): the reduction is one fold with its own
+        # stack, and its one constant 2 becomes 1.  Fourteen levels agree
+        # with the oracle; every third variable takes 0, 1 or 2.
+        def chain(levels, last):
+            weight = last
+            for i in range(levels - 1, -1, -1):
+                build = alg.make_sum if i % 2 else alg.make_product
+                weight = build([Var("x%d" % i), weight])
+            return alg.make_scaled(MonoidKind.MIN, weight, 5)
+
+        three = Distribution([(0, 0.5), (1, 0.25), (2, 0.25)])
+        for levels in (14, 3000):
+            last = Var("x%d" % levels)
+            expr = chain(levels, alg.make_product([Const(2), last]))
+            dists = {"x%d" % i: coin() if i % 3 else three for i in range(levels + 1)}
+            bexpr, bdists = reduce_to_boolean(expr, dists)
+            assert bexpr is chain(levels, last)
+            assert bdists["x0"].entries == bdists["x1"].entries == ((0, 0.5), (1, 0.5))
+            got = distribution(dtree.compile(bexpr, bdists, B), B)
+            if levels == 14:
+                assert got.close_to(brute_distribution(expr, dists, N), 1e-9)
+        weight = alg.make_product([expr.weight, parse_expr("[a != 0]")])
+        with pytest.raises(CarrierMismatch, match="condition-free"):
+            reduce_to_boolean(alg.make_scaled(MonoidKind.MAX, weight, 5), {**dists, "a": coin()})
+
 
 class TestPrune:
+    def test_sum_bounds_read_a_conditional_as_0_or_1(self, monkeypatch):
+        # A conditional in a SUM weight is bounded by 0 and 1 without a
+        # look at its sides, so pruning nested SUM conditionals bounds
+        # each sub-expression once, not once per enclosing conditional.
+        cond = parse_expr("[sum{[min{x(x)5} <= 3](x)3 + 1} >= 1]")
+        assert dtree.prune(cond, N) is Const(1)
+        depth = 200
+        expr = Var("x0")
+        for i in range(1, depth + 1):
+            weight = alg.make_product([Var("x%d" % i), expr])
+            terms = [
+                alg.make_scaled(MonoidKind.SUM, weight, 2),
+                Scaled(MonoidKind.SUM, Var("y%d" % i), 1),
+            ]
+            expr = Cmp(alg.make_msum(MonoidKind.SUM, terms), "<=", MConst(MonoidKind.SUM, 2))
+        calls, bounds = [], dtree._weight_bounds
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bounds(*args, **kwargs)
+
+        monkeypatch.setattr(dtree, "_weight_bounds", counted)
+        assert dtree.prune_all(expr, N) is expr
+        assert len(calls) <= 5 * depth
+
     def test_prune_all_keeps_unchanged_subtrees(self):
         # Under N the MIN conditional keeps its form; under B one with
         # kept terms in two classes (below and at 5) does.
