@@ -46,10 +46,12 @@ overflow 64 bits.  MIN and MAX merge sorted supports
 (:func:`pvcdb.prob.extreme_convolve`); PROD and the NATURAL product
 convolve pairwise.
 
-One compiler (:class:`_Compiler`) builds every tree.  The joint of
-several expressions, such as a row's annotation and its aggregate cells
-(:func:`compile_joint`), is a tuple of expressions that compiles like
-one expression, through the same memo and case splits.
+One compiler (:class:`_Compiler`) builds every tree, and
+:func:`compile` is its one entry point.  It takes an expression or a
+tuple of expressions, their joint, such as a row's annotation and its
+aggregate cells, which compiles like one expression, through the same
+memo and case splits; the annotation's distribution is then the
+joint's marginal on its first coordinate.
 
 Before it splits a case, the compiler reads a joint, or a product of
 comparisons, as sums (:meth:`_Compiler._joint_sum`): a sum is a *slot*,
@@ -931,25 +933,21 @@ def _mutex_node(children, case):
     return MutexNode(x, [(v, p, c) for (v, p), c in zip(entries, children)])
 
 
-def compile(expr, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
-    """Compile an expression into a decomposition tree.
+def compile(item, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
+    """Compile an expression, or a tuple of expressions into the one tree
+    of their joint, whose distribution ranges over value tuples.
 
-    Every variable of the expression must have a finite distribution in
-    ``var_dists``.  The optional node budget guards against exponential
-    blowup on adversarial inputs.
+    Every variable must have a finite distribution in ``var_dists``.  The
+    optional node budget bounds the nodes of this one tree, a guard
+    against exponential blowup on adversarial inputs.
     """
-    return _Compiler(var_dists, sk, node_budget).compile(expr)
+    return _Compiler(var_dists, sk, node_budget).compile(item)
 
 
 def compile_joint(exprs, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
-    """Compile several expressions over one variable universe into a
-    single tree whose distribution ranges over value tuples.
-
-    The tuple of expressions compiles like one expression: the terms of
-    its sums split into independent groups (:class:`JointSumNode`), and
-    case splits proceed where they share variables.
-    """
-    return _Compiler(var_dists, sk, node_budget).compile(tuple(exprs))
+    """:func:`compile` of ``tuple(exprs)``: the joint tree of several
+    expressions over one variable universe."""
+    return compile(tuple(exprs), var_dists, sk, node_budget)
 
 
 # ---------------------------------------------------------------------------

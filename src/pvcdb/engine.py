@@ -499,30 +499,26 @@ def answer_distributions(plan, db, node_budget=None, want_joint=True):
     Returns the result table and one :class:`AnswerRow` per tuple: the
     annotation's distribution over the semiring, plus a joint
     distribution over (annotation, cell values) when the tuple carries
-    semimodule cells and ``want_joint`` is set.  Rows whose values
-    coincide (structurally, for semimodule cells) merge by summing
-    annotations first, so tuple identity matches the possible-worlds
-    view.
+    semimodule cells and ``want_joint`` is set; the annotation's is then
+    the joint's marginal, as each row compiles one tree.  Rows whose
+    values coincide (structurally, for semimodule cells) merge by summing
+    annotations first, so tuple identity matches the possible-worlds view.
     """
-    from .tractability import conditional_group_shortcut
-
     table = evaluate(plan, db)
     agg_positions = [i for i, role in enumerate(table.roles) if role == AGG]
     table.rows = _merge_duplicates(table.rows)
     answers = []
     for values, phi in table.rows:
-        pruned = dtree.prune_all(phi, db.sk, db.var_dists)
-        annotation = conditional_group_shortcut(pruned, db.sk, db.var_dists)
-        if annotation is None:
-            tree = dtree.compile(pruned, db.var_dists, db.sk, node_budget)
-            annotation = dtree.distribution(tree, db.sk)
-        joint = None
+        item = dtree.prune_all(phi, db.sk, db.var_dists)
         if agg_positions and want_joint:
-            cells = [values[i] for i in agg_positions]
-            pruned_cells = [dtree.prune_all(c, db.sk, db.var_dists) for c in cells]
-            jtree = dtree.compile_joint(
-                [pruned] + pruned_cells, db.var_dists, db.sk, node_budget
-            )
-            joint = dtree.distribution(jtree, db.sk)
-        answers.append(AnswerRow(values, phi, annotation, joint))
+            item = (item, *(dtree.prune_all(values[i], db.sk, db.var_dists)
+                            for i in agg_positions))
+        dist = dtree.distribution(
+            dtree.compile(item, db.var_dists, db.sk, node_budget), db.sk
+        )
+        if type(item) is tuple:
+            marginal = Distribution.from_pairs((v[0], p) for v, p in dist.entries)
+            answers.append(AnswerRow(values, phi, marginal, dist))
+        else:
+            answers.append(AnswerRow(values, phi, dist, None))
     return table, answers

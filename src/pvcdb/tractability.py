@@ -5,7 +5,7 @@ tuple-independent inputs: queries whose result tuples are pairwise
 independent, and hierarchical aggregate queries whose annotations
 factor into read-once form.  The classifier here is sound but
 incomplete: it recognises queries by shape and answers "unknown"
-otherwise, which never blocks evaluation, it only disables fast paths.
+otherwise.  The class is a report: evaluation never consults it.
 
 A flat select-project-join block is *hierarchical* when, for every two
 attributes that are neither in the head nor equated with a constant,
@@ -369,7 +369,11 @@ def _column_values(plan, db, attr):
 
 
 # ---------------------------------------------------------------------------
-# Fast path for selections over grouped MIN aggregates
+# Closed form for selections over grouped MIN aggregates
+#
+# Nothing in evaluation calls it: pruning first turns every Boolean
+# conditional it matches into a disjunction or a constant.  It stays
+# while perfbench's tracer wraps it by name.
 # ---------------------------------------------------------------------------
 
 

@@ -269,6 +269,27 @@ class TestAnswerDistributions:
         # present iff u and (v or w)
         assert answers[0].annotation[1] == pytest.approx(0.5 * 0.75)
 
+    @pytest.mark.parametrize("sk", [B, N], ids=["bool", "nat"])
+    @pytest.mark.parametrize(
+        "text", ["agg[g; m<-min(v)](R)", "select[m<=3](agg[g; m<-min(v)](R))"]
+    )
+    def test_one_compile_per_answer_row(self, monkeypatch, sk, text):
+        # The annotation of a joint row is the joint's marginal, not a
+        # second tree.
+        calls = {"compile": 0, "compile_joint": 0}
+        for name in calls:
+            honest = getattr(dtree, name)
+
+            def counted(*args, _name=name, _honest=honest, **kwargs):
+                calls[_name] += 1
+                return _honest(*args, **kwargs)
+
+            monkeypatch.setattr(dtree, name, counted)
+        db = _grouped_db(0, sk, 10)
+        _, answers = answer_distributions(cli.parse_query(text), db)
+        assert answers and all(row.joint is not None for row in answers)
+        assert calls == {"compile": len(answers), "compile_joint": 0}
+
     def test_polynomial_result_growth(self):
         rows = []
         atoms = []
@@ -291,16 +312,17 @@ class TestAnswerDistributions:
         assert atoms == [2 * n for n in (4, 8, 16, 32)]
 
 
-def _grouped_db(seed, sk, rows, groups=3):
+def _grouped_db(seed, sk, rows, groups=3, ternary=False):
     """R(g, v) over one independent variable per row; under nat every
-    other variable takes the values 0, 1 and 2."""
+    other variable, or with ``ternary`` every variable, takes the values
+    0, 1 and 2."""
     rng = random.Random(seed)
     r = PvcTable("R", ("g", "v"), (CONST, CONST))
     dists = {}
     for i in range(rows):
         name = "x%d" % i
         r.add_row((rng.randrange(groups), rng.randint(0, 6)), Var(name))
-        if sk is N and i % 2:
+        if sk is N and (ternary or i % 2):
             w = [rng.uniform(0.1, 1.0) for _ in range(3)]
             dists[name] = Distribution([(k, w[k] / sum(w)) for k in range(3)])
         else:
@@ -320,9 +342,9 @@ def _outcomes(dist, width):
     return out
 
 
-def _assert_close(got, want, context):
+def _assert_close(got, want, context, tol=1e-9):
     for v in set(got) | set(want):
-        assert abs(got.get(v, 0.0) - want.get(v, 0.0)) <= 1e-9, (context, v)
+        assert abs(got.get(v, 0.0) - want.get(v, 0.0)) <= tol, (context, v)
 
 
 class TestGroupedJointSweep:
@@ -330,13 +352,17 @@ class TestGroupedJointSweep:
     data, against possible-worlds enumeration."""
 
     @pytest.mark.parametrize(
-        "sk,aggs,rows",
-        [(B, ("min", "max"), 10), (N, ("min", "max", "count", "sum"), 7)],
-        ids=["bool", "nat"],
+        "sk,aggs,rows,ternary",
+        [
+            (B, ("min", "max"), 10, False),
+            (N, ("min", "max", "count", "sum"), 7, False),
+            (N, ("min", "max", "count", "sum"), 6, True),
+        ],
+        ids=["bool", "nat", "nat012"],
     )
-    def test_joint_and_annotation_match_brute_force(self, sk, aggs, rows):
+    def test_joint_and_annotation_match_brute_force(self, sk, aggs, rows, ternary):
         for seed in range(3):
-            db = _grouped_db(seed, sk, rows)
+            db = _grouped_db(seed, sk, rows, ternary=ternary)
             for agg in aggs:
                 base = "agg[g; m<-%s(v)](R)" % agg
                 texts = [base] + [
@@ -345,6 +371,7 @@ class TestGroupedJointSweep:
                 for text in texts:
                     plan = cli.parse_query(text)
                     _, answers = answer_distributions(plan, db)
+                    _, alone = answer_distributions(plan, db, want_joint=False)
                     brute = brute_query(plan, db)
                     assert set(brute.keys()) <= {(row.values[0],) for row in answers}
                     for row in answers:
@@ -356,6 +383,15 @@ class TestGroupedJointSweep:
                         for value, p in want.items():
                             marginal[value[0]] = marginal.get(value[0], 0.0) + p
                         _assert_close(dict(row.annotation.entries), marginal, context)
+                    # The joint's marginal is the annotation compiled alone.
+                    assert [row.values for row in alone] == [row.values for row in answers]
+                    for row, single in zip(answers, alone):
+                        _assert_close(
+                            dict(row.annotation.entries),
+                            dict(single.annotation.entries),
+                            (seed, text, row.values),
+                            tol=1e-12,
+                        )
 
     @staticmethod
     def _single_group(agg, n, sk=B):
