@@ -327,7 +327,12 @@ def load_probabilities(path, sk=None):
 
 
 def load_database(table_paths, prob_path, semiring):
-    sk = SemiringKind.BOOLEAN if semiring in ("bool", SemiringKind.BOOLEAN) else SemiringKind.NATURAL
+    """The database of the tables and the probability file, under
+    ``semiring``: a :class:`SemiringKind`, ``"bool"`` or ``"nat"``."""
+    try:
+        sk = SemiringKind(semiring)
+    except ValueError:
+        raise InvalidParams("unknown semiring %r, not 'bool' or 'nat'" % (semiring,)) from None
     tables = [load_table(p) for p in table_paths]
     var_dists = load_probabilities(prob_path)
     return pvc.PvcDatabase(tables, var_dists, sk)
@@ -564,12 +569,20 @@ def _add_db_args(sub, query_required=True):
     group.add_argument("--query-file", help="file holding one query")
 
 
-def _add_common(sub):
-    sub.add_argument("--semiring", choices=("bool", "nat"), default="bool")
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--world-limit", type=int, default=pvc.DEFAULT_WORLD_LIMIT)
-    sub.add_argument("--node-budget", type=int, default=None)
-    sub.add_argument("--joint", action="store_true")
+#: The flags that several subcommands share, each registered only on
+#: the subcommands that read it.
+_FLAGS = {
+    "--semiring": dict(choices=("bool", "nat"), default="bool"),
+    "--seed": dict(type=int, default=1),
+    "--world-limit": dict(type=int, default=pvc.DEFAULT_WORLD_LIMIT),
+    "--node-budget": dict(type=int, default=None),
+    "--joint": dict(action="store_true"),
+}
+
+
+def _add_flags(sub, *flags):
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def _add_gen_args(sub):
@@ -671,7 +684,7 @@ def _cmd_classify(args, out):
     out.write("%s\n" % label)
     try:
         block = tractability.flatten_block(plan, db)
-        roots = sorted(tractability.root_attributes(block, db))
+        roots = sorted(tractability.root_attributes(block))
         out.write("root attributes: %s\n" % (", ".join(roots) or "(none)"))
         for i, child in enumerate(block.children):
             out.write("child %d: %s\n" % (i, describe(child)))
@@ -719,12 +732,11 @@ def build_parser():
     group.add_argument("--expr-file")
     group.add_argument("--query")
     group.add_argument("--query-file")
-    _add_common(p)
     p.set_defaults(func=_cmd_parse)
 
     p = subs.add_parser("prob", help="distribution of an expression")
     _add_expr_args(p)
-    _add_common(p)
+    _add_flags(p, "--semiring", "--node-budget")
     p.set_defaults(func=_cmd_prob)
 
     p = subs.add_parser("oracle", help="brute-force distribution for diffing")
@@ -736,23 +748,23 @@ def build_parser():
     qgroup = p.add_mutually_exclusive_group()
     qgroup.add_argument("--query")
     qgroup.add_argument("--query-file")
-    _add_common(p)
+    _add_flags(p, "--semiring", "--world-limit")
     p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("query", help="evaluate a query with per-tuple distributions")
     _add_db_args(p)
-    _add_common(p)
+    _add_flags(p, "--semiring", "--node-budget", "--joint")
     p.set_defaults(func=_cmd_query)
 
     p = subs.add_parser("classify", help="tractability class of a query")
     _add_db_args(p)
-    _add_common(p)
+    _add_flags(p, "--semiring")
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("gen", help="generate a random conditional expression")
     _add_gen_args(p)
     p.add_argument("--emit-probs", action="store_true")
-    _add_common(p)
+    _add_flags(p, "--seed")
     p.set_defaults(func=_cmd_gen)
 
     p = subs.add_parser("bench", help="sweep a generator parameter and time compilation")
@@ -760,14 +772,14 @@ def build_parser():
     p.add_argument("--sweep", required=True, choices=_SWEEPABLE)
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     p.add_argument("--mode", choices=("compile", "oracle"), default="compile")
-    _add_common(p)
+    _add_flags(p, "--seed")
     p.set_defaults(func=_cmd_bench)
 
     p = subs.add_parser("dtree", help="dump a compiled decomposition tree")
     p.add_argument("action", choices=("dump",))
     _add_expr_args(p)
     p.add_argument("--dot", action="store_true")
-    _add_common(p)
+    _add_flags(p, "--semiring", "--node-budget")
     p.set_defaults(func=_cmd_dtree)
 
     return parser

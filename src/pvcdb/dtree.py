@@ -84,15 +84,17 @@ remaining values already decide (:func:`pvcdb.algebra.make_cmp`), so no
 branch splits on a variable that can no longer change its result; the
 sums left may then fall apart into groups.
 
-The compiler builds a DAG: an input that recurs, as in sibling mutex
-branches, compiles once and its node has several parents.  Everything
-that reads a tree (:func:`distribution`, :func:`eval_dtree`,
+Every inner node holds its children in ``parts``.  The compiler builds
+each node once, by its class, with its inputs there, and replaces them
+in place by their trees; an input that recurs, as in sibling mutex
+branches, compiles once, so its node has several parents.  Everything
+that reads the DAG (:func:`distribution`, :func:`eval_dtree`,
 :func:`validate`, the counts and the dumps) takes each distinct node
-once, after its children, from one generator (:func:`_post_order`).
+once, after its ``parts``, from one generator (:func:`_post_order`).
 That walk, like the compiler's, keeps its own stack, so a deep
-case-split chain does not meet Python's recursion limit.  Nodes hold
-only their structure.  Substitution, pruning, weight bounds and the
-Boolean reduction walk expressions with :func:`pvcdb.algebra.fold`.
+case-split chain does not meet Python's recursion limit.  Substitution,
+pruning, weight bounds and the Boolean reduction walk expressions with
+:func:`pvcdb.algebra.fold`.
 
 Pruning (:func:`prune`) prepares a MIN or MAX conditional against a
 constant for this: it keeps the terms that can decide the comparison,
@@ -161,10 +163,14 @@ from .pvc import check_values
 
 
 class DNode:
+    """A node of a decomposition tree: an inner node holds its children
+    in ``parts``, a leaf none."""
+
     __slots__ = ()
+    parts = ()
 
     def children(self):
-        return ()
+        return self.parts
 
     def label(self):
         raise NotImplementedError
@@ -211,9 +217,6 @@ class SumNode(DNode):
         self.parts = tuple(parts)
         self.kind = kind
 
-    def children(self):
-        return self.parts
-
     def label(self):
         return "(+)" if self.kind is None else "(+)%s" % self.kind.value
 
@@ -226,64 +229,50 @@ class ProdNode(DNode):
     def __init__(self, parts):
         self.parts = tuple(parts)
 
-    def children(self):
-        return self.parts
-
     def label(self):
         return "(.)"
 
 
 class ScaleNode(DNode):
-    """Independent scaling of a semimodule part by a semiring part."""
+    """Independent scaling of a semimodule part by a semiring part: the
+    pair ``parts`` is (semiring part, semimodule part)."""
 
-    __slots__ = ("left", "right", "kind")
+    __slots__ = ("parts", "kind")
 
-    def __init__(self, left, right, kind):
-        self.left = left
-        self.right = right
+    def __init__(self, parts, kind):
+        self.parts = tuple(parts)
         self.kind = kind
-
-    def children(self):
-        return (self.left, self.right)
 
     def label(self):
         return "(x)%s" % self.kind.value
 
 
 class CmpNode(DNode):
-    """Independent comparison, yielding a semiring 0/1."""
+    """Independent comparison of the pair ``parts``, yielding a semiring
+    0/1."""
 
-    __slots__ = ("theta", "left", "right")
+    __slots__ = ("parts", "theta")
 
-    def __init__(self, left, theta, right):
-        self.left = left
+    def __init__(self, parts, theta):
+        self.parts = tuple(parts)
         self.theta = theta
-        self.right = right
-
-    def children(self):
-        return (self.left, self.right)
 
     def label(self):
         return "[%s]" % self.theta
 
 
 class MutexNode(DNode):
-    """Case split on the values of one variable.
+    """Case split on the values of one variable: ``cases`` holds its
+    ``(value, probability)`` entries, as handed in, and ``parts[i]`` the
+    child of case i, the sub-expression (or, in a joint tree, the tuple
+    of them) with that value substituted."""
 
-    One child per support value of the variable, holding the
-    sub-expression (or, in a joint tree, the tuple of sub-expressions)
-    with that value substituted; the child weight is the value's
-    probability.
-    """
+    __slots__ = ("var", "cases", "parts")
 
-    __slots__ = ("var", "branches")
-
-    def __init__(self, var, branches):
+    def __init__(self, var, cases, parts):
         self.var = var
-        self.branches = tuple(branches)  # (value, prob, child)
-
-    def children(self):
-        return tuple(c for _, _, c in self.branches)
+        self.cases = cases
+        self.parts = parts
 
     def label(self):
         return "|_|%s" % self.var
@@ -317,9 +306,6 @@ class JointSumNode(DNode):
         self.start = start
         self.outputs = outputs
         self.scalar = scalar
-
-    def children(self):
-        return self.parts
 
     def partials(self, i, value):
         """What child i adds to its places when its value is ``value``:
@@ -362,7 +348,7 @@ class JointSumNode(DNode):
 
 def _post_order(d, inputs=None):
     """Every distinct node of the tree under ``d`` once, each after its
-    inputs: its children, or ``inputs(node)`` for a caller that reads
+    inputs: its ``parts``, or ``inputs(node)`` for a caller that reads
     fewer.  The walk keeps its own stack, so a deep tree does not meet
     Python's recursion limit."""
     seen = set()
@@ -374,7 +360,7 @@ def _post_order(d, inputs=None):
         elif id(node) in seen:
             continue
         else:
-            below = node.children() if inputs is None else inputs(node)
+            below = node.parts if inputs is None else inputs(node)
             if below:
                 stack.append(node)
                 stack.append(None)
@@ -689,9 +675,10 @@ class _Compiler:
         tuple of them is its own key; a semiring and a monoid constant of
         one value share a leaf, and so, in the Boolean semiring, does a
         sum with a non-zero constant part, which is 1 under every
-        valuation.  The walk keeps its own post-order stack:
-        an input is expanded when first seen, and its node is built once
-        the trees of its children lie on top of ``done``.
+        valuation.  The walk keeps its own post-order stack: an input is
+        expanded when first seen into its node, whose ``parts`` hold the
+        inputs to compile next; once their trees lie on top of ``done``,
+        they replace the inputs in place.
         """
         memo = self.memo
         boolean = self.sk is SemiringKind.BOOLEAN
@@ -700,10 +687,12 @@ class _Compiler:
         while stack:
             item = stack.pop()
             t = type(item)
-            if t is list:  # [key, make, arg, n]: its n trees are on top of done
-                key, make, arg, n = item
-                node = memo[key] = make(done[len(done) - n :], arg)
-                del done[len(done) - n :]
+            if t is list:  # [key, node]: the trees of its parts are on top of done
+                key, node = item
+                n = len(done) - len(node.parts)
+                node.parts = tuple(done[n:])
+                del done[n:]
+                memo[key] = node
                 done.append(node)
                 continue
             if t is Const or t is MConst:
@@ -719,19 +708,18 @@ class _Compiler:
                     if self.remaining < 0:
                         raise BudgetExceeded("node budget exhausted")
                 node = self._expand(item)
-                if type(node) is tuple:
-                    make, arg, children = node
-                    stack.append([key, make, arg, len(children)])
-                    stack += children[::-1]
+                if node.parts:
+                    stack.append([key, node])
+                    stack += node.parts[::-1]
                     continue
                 memo[key] = node
             done.append(node)
         return done[0]
 
     def _expand(self, item):
-        """The leaf of an input, or ``(make, arg, children)``: the inputs
-        to compile first, and ``make(trees, arg)`` builds the node from
-        their trees.
+        """The node of an input, built by its class: a leaf, or an inner
+        node whose ``parts`` hold the inputs that :meth:`compile` turns
+        into its children.
 
         An input over one variable is one leaf (:meth:`_tabulated`).  A
         joint, and a product of comparisons of sums, whose sums fall
@@ -757,26 +745,26 @@ class _Compiler:
                 return self._tabulated(item, item.mask)
             parts = split_sum(item)
             if parts is not None:
-                return SumNode, None if semiring else item.kind, parts
+                return SumNode(parts, None if semiring else item.kind)
             if semiring:
                 parts = split_product(item)
                 if parts is not None:
-                    return _prod_node, None, parts
+                    return ProdNode(parts)
                 if type(item) is Cmp:
                     pair = split_compare(item)
                     if pair is not None:
-                        return _cmp_node, item.theta, pair
+                        return CmpNode(pair, item.theta)
             else:
                 pair = split_scale(item)
                 if pair is not None:
-                    return _scale_node, item.kind, pair
+                    return ScaleNode(pair, item.kind)
             node = self._joint_sum(item)
             if node is not None:
                 return node
             exprs = (item,)
         x = choose_branch_variable(*exprs, sk=self.sk)
         entries = self.dist_of(x).entries
-        return _mutex_node, (x, entries), [self.substitute(item, x, v) for v, _ in entries]
+        return MutexNode(x, entries, [self.substitute(item, x, v) for v, _ in entries])
 
     def _tabulated(self, item, mask):
         """The leaf of an expression, or a joint of them, over the one
@@ -793,7 +781,8 @@ class _Compiler:
 
     def _joint_sum(self, item):
         """A :class:`JointSumNode` for a joint, or for a product of
-        comparisons of sums, as ``(make, arg, children)``, or None.
+        comparisons of sums, with the inputs of its children in
+        ``parts``, or None.
 
         The terms of every sum are grouped by shared variables.  Two or
         more groups make the node, with one child per group.  Otherwise a
@@ -865,8 +854,7 @@ class _Compiler:
             ]
             places.append(ks)
             children.append(partial[0] if len(ks) == 1 else tuple(partial))
-        arg = (places, pluses, bounds, idle, tuple(start), outputs, scalar)
-        return _joint_sum_node, arg, children
+        return JointSumNode(children, places, pluses, bounds, idle, tuple(start), outputs, scalar)
 
 
 #: The sum of a slot's partial values, by monoid; the semiring's is its own.
@@ -912,27 +900,6 @@ def _factors(expr):
     return out
 
 
-def _joint_sum_node(children, arg):
-    return JointSumNode(children, *arg)
-
-
-def _prod_node(parts, _):
-    return ProdNode(parts)
-
-
-def _cmp_node(pair, theta):
-    return CmpNode(pair[0], theta, pair[1])
-
-
-def _scale_node(pair, kind):
-    return ScaleNode(pair[0], pair[1], kind)
-
-
-def _mutex_node(children, case):
-    x, entries = case
-    return MutexNode(x, [(v, p, c) for (v, p), c in zip(entries, children)])
-
-
 def compile(item, var_dists, sk=SemiringKind.BOOLEAN, node_budget=None):
     """Compile an expression, or a tuple of expressions into the one tree
     of their joint, whose distribution ranges over value tuples.
@@ -972,18 +939,15 @@ def _distribution(d, sk, memo):
             return d.dist
         return Distribution.from_pairs(zip(d.table, [p for _, p in d.dist.entries]))
     if isinstance(d, MutexNode):
-        weights = [p for _, p, _ in d.branches]
-        return mix(weights, [memo[id(c)] for _, _, c in d.branches])
+        return mix([p for _, p in d.cases], [memo[id(c)] for c in d.parts])
     if isinstance(d, (SumNode, ProdNode)):
         return _fold(d, sk, memo)
     if isinstance(d, ScaleNode):
-        return convolve(
-            memo[id(d.left)], memo[id(d.right)], lambda s, m: alg.scale(s, m, d.kind)
-        )
+        return convolve(*[memo[id(c)] for c in d.parts], lambda s, m: alg.scale(s, m, d.kind))
     if isinstance(d, ConstLeaf):
         return Distribution.point(d.value)
     if isinstance(d, CmpNode):
-        return compare_convolve(memo[id(d.left)], memo[id(d.right)], d.theta)
+        return compare_convolve(*[memo[id(c)] for c in d.parts], d.theta)
     if isinstance(d, JointSumNode):
         return _joint_sum_dist(d, memo)
     raise TypeError("not a d-tree node: %r" % (d,))
@@ -1088,11 +1052,11 @@ def _eval_inputs(d, nu):
     """The children whose values ``d``'s value depends on under ``nu``."""
     if isinstance(d, MutexNode):
         x = nu[d.var]
-        for value, _, child in d.branches:
+        for (value, _), child in zip(d.cases, d.parts):
             if value == x:
                 return (child,)
         raise ValueError("value %r of %s has probability zero" % (x, d.var))
-    return d.children()
+    return d.parts
 
 
 def _eval_node(d, nu, sk, values):
@@ -1134,7 +1098,7 @@ def validate(d, var_dists=None):
     for node in _post_order(d):
         disjoint = not isinstance(node, MutexNode)
         mask = 0
-        for child in node.children():
+        for child in node.parts:
             below = masks[id(child)]
             if disjoint and mask & below:
                 shared = sorted(x for x, bit in bits.items() if bit & mask & below)
@@ -1152,7 +1116,7 @@ def validate(d, var_dists=None):
             mask |= bit
             if var_dists is not None and node.var in var_dists:
                 expected = var_dists[node.var].support
-                got = tuple(value for value, _, _ in node.branches)
+                got = tuple(value for value, _ in node.cases)
                 if sorted(got) != sorted(expected):
                     message = "mutex on %s covers %r, support is %r"
                     raise ValueError(message % (node.var, got, expected))
@@ -1168,9 +1132,10 @@ def _named(d):
     names = {}
     for node in _post_order(d):
         if isinstance(node, MutexNode):
-            edges = [(names[id(c)], "%s (p=%.6g)" % (v, p)) for v, p, c in node.branches]
+            cases = zip(node.cases, node.parts)
+            edges = [(names[id(c)], "%s (p=%.6g)" % case) for case, c in cases]
         else:
-            edges = [(names[id(c)], None) for c in node.children()]
+            edges = [(names[id(c)], None) for c in node.parts]
         name = names[id(node)] = "n%d" % len(names)
         yield name, node, edges
 

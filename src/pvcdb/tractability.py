@@ -134,7 +134,7 @@ def _at(closure, block):
     )
 
 
-def is_hierarchical(block, db=None):
+def is_hierarchical(block):
     """Disjoint-or-nested test over all qualifying attribute pairs.
 
     Declines (raises RepeatedRelation) when a base relation repeats.
@@ -164,7 +164,7 @@ def is_hierarchical(block, db=None):
     return True
 
 
-def root_attributes(block, db=None):
+def root_attributes(block):
     """Attributes whose equality closure touches every child."""
     closures = _closures(block)
     n = len(block.children)
@@ -248,18 +248,8 @@ def _is_ind(plan, db):
                 and _agg_allowed(inner, db)
                 and _is_ind(inner.child, db)
             )
-        block = flatten_block(plan, db)
-        if all(not isinstance(c, (Aggregate, Union)) for c in block.children):
-            try:
-                hierarchical = is_hierarchical(block, db)
-            except RepeatedRelation:
-                return False
-            roots = root_attributes(block, db)
-            return (
-                hierarchical
-                and set(block.head) <= roots
-                and _children_independent(block.children, db)
-            )
+        if _hierarchical_block(plan, db, rooted=True):
+            return True
         if (
             not plan.attrs
             and isinstance(plan.child, Select)
@@ -297,24 +287,28 @@ def _is_hie(plan, db):
             return False
         if len(plan.aggs) != 1 or not _agg_allowed(plan, db):
             return False
-        block = flatten_block(plan.child, db, head=tuple(plan.group_attrs))
-        if any(isinstance(c, (Aggregate, Union)) for c in block.children):
-            return False
-        try:
-            hierarchical = is_hierarchical(block, db)
-        except RepeatedRelation:
-            return False
-        return hierarchical and _children_independent(block.children, db)
+        return _hierarchical_block(plan.child, db, tuple(plan.group_attrs))
     if outer_head is not None:
-        block = flatten_block(plan, db, head=outer_head)
-        if any(isinstance(c, (Aggregate, Union)) for c in block.children):
-            return False
-        try:
-            hierarchical = is_hierarchical(block, db)
-        except RepeatedRelation:
-            return False
-        return hierarchical and _children_independent(block.children, db)
+        return _hierarchical_block(plan, db, outer_head)
     return False
+
+
+def _hierarchical_block(plan, db, head=None, rooted=False):
+    """True when the flat block of ``plan`` (:func:`flatten_block`) is
+    hierarchical over independent children, none an aggregate or a
+    union; with ``rooted``, its head must also lie in its root
+    attributes.  A repeated base relation reads as False."""
+    block = flatten_block(plan, db, head)
+    if any(isinstance(c, (Aggregate, Union)) for c in block.children):
+        return False
+    try:
+        if not is_hierarchical(block):
+            return False
+    except RepeatedRelation:
+        return False
+    if rooted and not set(block.head) <= root_attributes(block):
+        return False
+    return _children_independent(block.children, db)
 
 
 def _agg_allowed(agg_plan, db):

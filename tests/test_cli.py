@@ -122,6 +122,18 @@ class TestTableIo:
         with pytest.raises(MissingDistribution, match="z5"):
             cli.load_database(tables, probs, "bool")
 
+    def test_database_semiring_names(self):
+        # "bool", "nat" or a SemiringKind; any other name is an error, not
+        # bag semantics.
+        tables = [SHOPS / n for n in ("S.tsv", "PS.tsv", "P1.tsv", "P2.tsv")]
+        probs = SHOPS / "probs.tsv"
+        for semiring, sk in [("bool", alg.SemiringKind.BOOLEAN), ("nat", alg.SemiringKind.NATURAL)]:
+            assert cli.load_database(tables, probs, semiring).sk is sk
+            assert cli.load_database(tables, probs, sk).sk is sk
+        for semiring in ("Bool", "boolean", "natural", None):
+            with pytest.raises(InvalidParams, match="unknown semiring %r" % (semiring,)):
+                cli.load_database(tables, probs, semiring)
+
     def test_duplicate_variable(self, tmp_path):
         probs = tmp_path / "probs.tsv"
         probs.write_text("u\t0\t0.5\nu\t0\t0.5\n")
@@ -700,7 +712,62 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_working_parser(self):
         args = cli.build_parser().parse_args(["prob", "--expr", "x", "--probs", "p.tsv"])
-        assert args.command == "prob" and args.expr == "x" and not args.joint
+        assert args.command == "prob" and args.expr == "x" and args.node_budget is None
+
+
+#: A value for each shared flag, and the flags each subcommand reads.
+FLAG_VALUES = {"--semiring": ["nat"], "--seed": ["3"], "--world-limit": ["10"],
+               "--node-budget": ["10"], "--joint": []}
+FLAGS_READ = {
+    "parse": (),
+    "prob": ("--semiring", "--node-budget"),
+    "dtree": ("--semiring", "--node-budget"),
+    "oracle": ("--semiring", "--world-limit"),
+    "query": ("--semiring", "--node-budget", "--joint"),
+    "classify": ("--semiring",),
+    "gen": ("--seed",),
+    "bench": ("--seed",),
+}
+
+
+class TestSharedFlags:
+    """Each shared flag is registered only on the subcommands that read
+    it; elsewhere argparse rejects it as a usage error."""
+
+    def _base(self, command):
+        expr = ["--expr", "x", "--probs", "p.tsv"]
+        db = ["--tables", "S.tsv", "--probs", "p.tsv", "--query", "S"]
+        return {
+            "parse": ["parse", "--expr", "x"],
+            "prob": ["prob", *expr],
+            "dtree": ["dtree", "dump", *expr],
+            "oracle": ["oracle", *expr],
+            "query": ["query", *db],
+            "classify": ["classify", *db],
+            "gen": ["gen"],
+            "bench": ["bench", "--sweep", "num_vars", "--values", "4"],
+        }[command]
+
+    def test_twelve_flags_are_read(self):
+        assert sum(map(len, FLAGS_READ.values())) == 12
+        parser = cli.build_parser()
+        for command, flags in FLAGS_READ.items():
+            argv = self._base(command)
+            for flag in flags:
+                argv += [flag, *FLAG_VALUES[flag]]
+            args = parser.parse_args(argv)
+            for flag in flags:
+                assert getattr(args, flag[2:].replace("-", "_")) not in (None, False), flag
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, read in FLAGS_READ.items() for f in FLAG_VALUES if f not in read],
+    )
+    def test_a_flag_that_is_not_read_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self._base(command) + [flag, *FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
 class TestHugeNumerals:

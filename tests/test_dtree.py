@@ -172,8 +172,8 @@ class TestCompileShapes:
         expr = parse_expr("sum{a*(b + c)(x)10 + c(x)20}")
         tree = dtree.compile(expr, FIG_DISTS, N)
         assert isinstance(tree, MutexNode) and tree.var == "c"
-        assert len(tree.branches) == 2
-        left = tree.branches[0][2]
+        assert len(tree.cases) == len(tree.parts) == 2
+        left = tree.parts[0]
         assert isinstance(left, SumNode)
         sides = {tree_vars(child) for child in left.children()}
         assert frozenset({"a", "b"}) in sides
@@ -960,6 +960,47 @@ class TestCompileJoint:
         assert dtree.node_count(tree) == 17
 
 
+class TestNodeShapes:
+    """One input per node class, in both semirings: every inner node
+    holds its children in ``parts``, and the tree validates, reads back
+    every valuation and agrees with enumeration."""
+
+    INPUTS = [
+        pytest.param("x", VarLeaf, id="var"),
+        pytest.param("sum{x(x)3}", VarLeaf, id="table"),
+        pytest.param("1", ConstLeaf, id="const"),
+        pytest.param("x + y", SumNode, id="sum"),
+        pytest.param("max{x(x)2 + y(x)5}", SumNode, id="msum"),
+        pytest.param("x*y", dtree.ProdNode, id="prod"),
+        pytest.param("sum{x*(y + z)(x)3 + x*z(x)5}", dtree.ScaleNode, id="scale"),
+        pytest.param("[x + y <= z]", dtree.CmpNode, id="cmp"),
+        pytest.param("x*y + y*z + z*x", MutexNode, id="mutex"),
+        pytest.param("[x + y != 0]*[x + z = 0]", dtree.JointSumNode, id="joint_sum"),
+    ]
+
+    @pytest.mark.parametrize("sk", [B, N], ids=["bool", "nat"])
+    @pytest.mark.parametrize("text, cls", INPUTS)
+    def test_compiles_to_its_class(self, sk, text, cls):
+        expr = parse_expr(text)
+        if sk is B:
+            dists = {"x": coin(0.3), "y": coin(0.6), "z": coin(0.8)}
+        else:
+            dist = Distribution([(0, 0.2), (1, 0.5), (2, 0.3)])
+            dists = {"x": dist, "y": one_two(0.4), "z": dist}
+        tree = dtree.compile(expr, dists, sk)
+        assert type(tree) is cls
+        for node in dtree._post_order(tree):
+            if isinstance(node, (VarLeaf, ConstLeaf)):
+                assert node.parts == ()
+            else:
+                assert node.parts and all(isinstance(c, dtree.DNode) for c in node.parts)
+                assert node.children() is node.parts
+        dtree.validate(tree, dists)
+        for nu in all_valuations({n: dists[n] for n in alg.variables(expr)}):
+            assert eval_dtree(tree, nu, sk) == expr.eval(nu, sk)
+        assert distribution(tree, sk).close_to(brute_distribution(expr, dists, sk), 1e-9)
+
+
 class TestValidator:
     def test_rejects_shared_variables_in_binary_node(self):
         x = VarLeaf("x", coin())
@@ -974,13 +1015,13 @@ class TestValidator:
         dtree.validate(SumNode(children[:2]))
 
     def test_rejects_variable_below_its_mutex(self):
-        bad = MutexNode("x", [(0, 0.5, VarLeaf("x", coin())), (1, 0.5, ConstLeaf(1))])
+        bad = MutexNode("x", [(0, 0.5), (1, 0.5)], [VarLeaf("x", coin()), ConstLeaf(1)])
         with pytest.raises(ValueError, match="below"):
             dtree.validate(bad)
 
     def test_rejects_incomplete_mutex_fanout(self):
         three = Distribution([(0, 0.2), (1, 0.3), (2, 0.5)])
-        partial = MutexNode("x", [(0, 0.2, ConstLeaf(0)), (1, 0.3, ConstLeaf(1))])
+        partial = MutexNode("x", [(0, 0.2), (1, 0.3)], [ConstLeaf(0), ConstLeaf(1)])
         with pytest.raises(ValueError, match="support"):
             dtree.validate(partial, {"x": three})
 
@@ -1006,7 +1047,7 @@ class TestDumps:
 
     def test_shared_subtree_is_printed_once(self):
         ab = dtree.ProdNode([VarLeaf("a", coin()), VarLeaf("b", coin())])
-        tree = MutexNode("c", [(0, 0.5, ab), (1, 0.5, SumNode([ab, ConstLeaf(1)]))])
+        tree = MutexNode("c", [(0, 0.5), (1, 0.5)], [ab, SumNode([ab, ConstLeaf(1)])])
         assert node_count(tree) == 6
         assert list(dtree.tree_lines(tree)) == [
             "n0 = a",

@@ -64,11 +64,11 @@ class TestHierarchy:
             "project[](select[shop='M&S',sid=sid2](product(S,rename[sid2<-sid](PS))))"
         )
         block = flatten_block(plan, shops_nat_db)
-        assert is_hierarchical(block, shops_nat_db)
+        assert is_hierarchical(block)
 
     def test_single_relation_block(self, shops_nat_db):
         block = flatten_block(cli.parse_query("project[](S)"), shops_nat_db)
-        assert is_hierarchical(block, shops_nat_db)
+        assert is_hierarchical(block)
 
     def test_chain_join_is_not_hierarchical(self):
         db = chain_db()
@@ -76,14 +76,14 @@ class TestHierarchy:
             "project[](select[a=a2,b=b2](product(product(R,S),T)))"
         )
         block = flatten_block(plan, db)
-        assert not is_hierarchical(block, db)
+        assert not is_hierarchical(block)
 
     def test_repeated_relation_declines(self):
         db = chain_db()
         plan = cli.parse_query("project[](product(R,rename[a3<-a](R)))")
         block = flatten_block(plan, db)
         with pytest.raises(RepeatedRelation):
-            is_hierarchical(block, db)
+            is_hierarchical(block)
 
 
 class TestRootAttributes:
@@ -92,18 +92,18 @@ class TestRootAttributes:
             "project[](select[sid=sid2](product(S,rename[sid2<-sid](PS))))"
         )
         block = flatten_block(plan, shops_nat_db)
-        roots = root_attributes(block, shops_nat_db)
+        roots = root_attributes(block)
         assert {"sid", "sid2"} <= roots
         assert "price" not in roots
 
     def test_single_relation_all_roots(self, shops_nat_db):
         block = flatten_block(cli.parse_query("project[](S)"), shops_nat_db)
-        assert root_attributes(block, shops_nat_db) == {"sid", "shop"}
+        assert root_attributes(block) == {"sid", "shop"}
 
     def test_cross_product_without_equalities(self):
         db = chain_db()
         block = flatten_block(cli.parse_query("project[](product(R,T))"), db)
-        assert root_attributes(block, db) == set()
+        assert root_attributes(block) == set()
 
 
 class TestClassify:
