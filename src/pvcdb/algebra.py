@@ -746,9 +746,10 @@ def _merged_occ(e):
 # ---------------------------------------------------------------------------
 
 
-def variables(expr):
-    """The set of distinct variable names occurring in the expression."""
-    return expr.vars()
+def variables(*exprs):
+    """The set of distinct variable names occurring in the expressions,
+    read off the OR of their masks."""
+    return _names(_union(exprs))
 
 
 def occurrences(expr):

@@ -740,14 +740,13 @@ def build_parser():
     p.set_defaults(func=_cmd_prob)
 
     p = subs.add_parser("oracle", help="brute-force distribution for diffing")
-    group = p.add_mutually_exclusive_group()
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr")
     group.add_argument("--expr-file")
+    group.add_argument("--query")
+    group.add_argument("--query-file")
     p.add_argument("--probs", required=True)
     p.add_argument("--tables", nargs="*", default=[])
-    qgroup = p.add_mutually_exclusive_group()
-    qgroup.add_argument("--query")
-    qgroup.add_argument("--query-file")
     _add_flags(p, "--semiring", "--world-limit")
     p.set_defaults(func=_cmd_oracle)
 

@@ -19,17 +19,19 @@ take the variable with most
 occurrences, except in a MIN or MAX sum, or a Boolean semiring sum, with
 a clause of one variable, where that variable goes first (the unit rule,
 :func:`choose_branch_variable`).  The independence
-splits work on the flattened source form: summands are grouped by
-connected components of their variable-overlap graph, products by
-components of their factors, and a sum of products is factored by the
-common factors of all its summands.  This recognises read-once
-expressions, such as the annotations of hierarchical queries, without
-any mutex node; everything else falls back to mutex expansion, which is
-always applicable but can be exponential.  Expressions are interned
-(:mod:`pvcdb.algebra`), so the compile memo, the matching of common
-factors and the substitutions made under one binding are all keyed on
-node identity, and independence is tested by intersecting the variable
-bitmasks of the parts.
+splits work on the flattened source form and decide from the parts'
+variable bitmasks: parts of which no two share a variable are the
+components as they stand, parts that all share one are one component,
+and only the sums in between, and products, are grouped by connected
+components (:func:`connected_groups`).  A sum of products is factored
+by the factors common to all its summands, sought among the first
+summand's constants and factors with variables in every summand.  This
+recognises read-once expressions, such as the annotations of
+hierarchical queries, without any mutex node; everything else falls
+back to mutex expansion, which is always applicable but can be
+exponential.  Expressions are interned (:mod:`pvcdb.algebra`), so the
+compile memo, the matching of common factors and the substitutions
+made under one binding are all keyed on node identity.
 
 Sum and product nodes are n-ary: one split yields every connected
 component, so an aggregate over n independent tuples is one node with n
@@ -444,12 +446,16 @@ def _components(items):
 
 
 def split_sum(expr):
-    """Split a sum into all its variable-disjoint components, or None."""
+    """Split a sum into all its variable-disjoint components, or None:
+    the parts when no two share a variable, None when a variable is in
+    every part (by the AND of their masks), else by union-find."""
     parts = alg.sum_parts(expr)
     if len(parts) < 2:
         return None
     if _disjoint(parts):
         return parts
+    if functools.reduce(operator.and_, [p.mask for p in parts]):
+        return None
     groups = _components(parts)
     if len(groups) < 2:
         return None
@@ -468,25 +474,23 @@ def _disjoint(parts):
     return True
 
 
-def _common_factors(factor_lists):
-    """Multiset intersection of factor lists; interned factors match by
-    identity."""
-    common = Counter(factor_lists[0])
-    for factors in factor_lists[1:]:
-        common &= Counter(factors)
-        if not common:
-            return []
-    return list(common.elements())
+def _common_factors(factor_lists, shared):
+    """Multiset intersection of factor lists, in first-occurrence order of
+    the first list.  A common factor has no variable outside ``shared``,
+    the AND of the lists' masks; interned factors match by identity."""
+    first = factor_lists[0]
+    common = []
+    for i, f in enumerate(first):
+        if f.mask & ~shared or first.index(f) != i:
+            continue
+        common += [f] * min(fl.count(f) for fl in factor_lists)
+    return common
 
 
 def _remove_factors(factors, removed):
-    budget = Counter(removed)
-    kept = []
-    for f in factors:
-        if budget[f]:
-            budget[f] -= 1
-        else:
-            kept.append(f)
+    kept = list(factors)
+    for f in removed:
+        kept.remove(f)
     return kept
 
 
@@ -496,7 +500,7 @@ def split_product(expr):
 
     A product splits into all connected components of its factors; a
     sum of products splits in two by dividing out the factors common to
-    all summands.
+    all summands (:func:`_common_factors`).
     """
     if isinstance(expr, Mul):
         if _disjoint(expr.parts):
@@ -508,12 +512,11 @@ def split_product(expr):
     if isinstance(expr, Add):
         # Without a variable in every summand, a common factor is a
         # constant, which the first summand must hold.
-        if not functools.reduce(operator.and_, [p.mask for p in expr.parts]) and all(
-            f.mask for f in alg.product_factors(expr.parts[0])
-        ):
+        shared = functools.reduce(operator.and_, [p.mask for p in expr.parts])
+        if not shared and all(f.mask for f in alg.product_factors(expr.parts[0])):
             return None
         factor_lists = [alg.product_factors(p) for p in expr.parts]
-        common = _common_factors(factor_lists)
+        common = _common_factors(factor_lists, shared)
         if not common:
             return None
         psi = alg.make_product(common)
@@ -542,7 +545,7 @@ def split_scale(expr):
         return None
     kind = expr.kind
     factor_lists = [alg.product_factors(t.weight) for t in terms]
-    common = [f for f in _common_factors(factor_lists) if f.mask]
+    common = [f for f in _common_factors(factor_lists, shared) if f.mask]
     if not common:
         return None
     psi = alg.make_product(common)

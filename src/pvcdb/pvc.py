@@ -123,13 +123,14 @@ class PvcDatabase:
             dist.check_normalized(what="distribution of %s" % name)
         check_values(self.var_dists, self.sk)
         for table in self.tables.values():
-            for expr in table.expressions():
-                for v in alg.variables(expr):
-                    if v not in self.var_dists:
-                        raise MissingDistribution(
-                            "%s uses variable %s without a distribution"
-                            % (table.name, v)
-                        )
+            exprs = list(table.expressions())
+            missing = alg.variables(*exprs) - self.var_dists.keys()
+            if missing:
+                raise MissingDistribution(
+                    "%s uses variable %s without a distribution"
+                    % (table.name, min(missing))
+                )
+            for expr in exprs:
                 if isinstance(expr, MExpr):
                     self._check_aggregate_kind(expr.kind, table.name)
 
@@ -145,11 +146,7 @@ class PvcDatabase:
 
     def variables_of(self, table_names=None):
         names = table_names if table_names is not None else self.tables.keys()
-        out = set()
-        for name in names:
-            for expr in self.tables[name].expressions():
-                out |= alg.variables(expr)
-        return out
+        return alg.variables(*[e for n in names for e in self.tables[n].expressions()])
 
 
 def world_count(db, variables=None):

@@ -195,13 +195,8 @@ def tuple_independent(plan, db):
 
 
 def _annotation_vars(plan, db):
-    out = set()
-    for name in base_relations(plan):
-        table = db.tables.get(name)
-        if table is not None:
-            for expr in table.expressions():
-                out |= alg.variables(expr)
-    return out
+    tables = [db.tables[n] for n in base_relations(plan) if n in db.tables]
+    return alg.variables(*[e for t in tables for e in t.expressions()])
 
 
 def classify(plan, db):

@@ -407,6 +407,14 @@ class TestSubcommands:
         assert code == 0
         assert out.startswith("# tuple:")
 
+    def test_oracle_without_an_input_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("oracle", "--probs", "p.tsv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "one of the arguments --expr --expr-file --query --query-file is required" in err
+        assert "Traceback" not in err
+
     def test_bench_subcommand(self):
         code, out = run_cli(
             "bench",

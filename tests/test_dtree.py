@@ -1,8 +1,13 @@
+import functools
 import itertools
 import math
+import operator
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvcdb import algebra as alg
 from pvcdb import cli, dtree
@@ -25,6 +30,7 @@ from pvcdb.dtree import (
     split_scale,
     split_sum,
 )
+from pvcdb.engine import evaluate
 from pvcdb.errors import (
     ArithmeticOverflow,
     BudgetExceeded,
@@ -130,6 +136,145 @@ class TestSplits:
         x, y, z = 1, 2, 4
         keyed = [("a", x), ("b", y), ("c", z), ("d", z | x), ("e", y)]
         assert dtree.connected_groups(keyed) == [["a", "c", "d"], ["b", "e"]]
+
+
+def _reference_common(factor_lists):
+    """The multiset intersection of factor lists, taken with Counter."""
+    common = Counter(factor_lists[0])
+    for factors in factor_lists[1:]:
+        common &= Counter(factors)
+    return list(common.elements())
+
+
+def _reference_remove(factors, removed):
+    budget = Counter(removed)
+    kept = []
+    for f in factors:
+        if budget[f]:
+            budget[f] -= 1
+        else:
+            kept.append(f)
+    return kept
+
+
+def _reference_split_sum(expr):
+    """split_sum with every sum grouped by the union-find."""
+    parts = alg.sum_parts(expr)
+    groups = dtree._components(parts) if len(parts) > 1 else [parts]
+    return [alg.rebuild(expr, g) for g in groups] if len(groups) > 1 else None
+
+
+@st.composite
+def sums_of_products(draw):
+    """A semiring and a sum of 2 to 4 products over at most four
+    variables, with repeated factors, and under NATURAL constant factors
+    and constant summands; under BOOLEAN the constant summand is 1."""
+    sk = draw(st.sampled_from([B, N]))
+    atoms = [Var(v) for v in "wxyz"] + ([Const(2), Const(3)] if sk is N else [])
+    shared = draw(st.lists(st.sampled_from(atoms), max_size=2))
+    summands = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            summands.append(draw(st.sampled_from(atoms[4:] or [Const(1)])))
+        else:
+            own = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
+            summands.append(alg.make_product(shared + own))
+    return sk, alg.make_sum(summands)
+
+
+class TestMaskSplits:
+    """Independence splits decided from the parts' masks: a variable in
+    every part ends the sum split, and common factors match by identity."""
+
+    def test_a_variable_in_every_part_is_one_component(self, monkeypatch):
+        def no_grouping(items):
+            raise AssertionError("grouped a sum whose parts share a variable")
+
+        monkeypatch.setattr(dtree, "_components", no_grouping)
+        assert split_sum(parse_expr("x*a + x*b")) is None
+        assert split_sum(parse_expr("x*a + x*b + x*y*c")) is None
+
+    def test_sums_without_a_common_variable_still_split(self):
+        xa, yb = parse_expr("x*a"), parse_expr("y*b")
+        assert split_sum(parse_expr("x*a + y*b")) == [xa, yb]
+        # A constant part shares nothing: it is a component of its own,
+        # placed last, and the parts that share x are one.
+        parts = split_sum(parse_expr("x*a + 1 + x*b"))
+        assert parts == [parse_expr("x*a + x*b"), Const(1)]
+        assert split_sum(parse_expr("x*a + y*b + b*z")) == [xa, parse_expr("y*b + b*z")]
+
+    def test_common_factors_keep_multiplicity_and_constants(self):
+        xx = parse_expr("x*x")
+        assert split_product(parse_expr("x*x*y + x*x*z")) == [xx, parse_expr("y + z")]
+        assert split_product(parse_expr("2*x + 2*y")) == [Const(2), parse_expr("x + y")]
+        # The least multiplicity is common; the rest stays with its summand.
+        assert split_product(parse_expr("x*x*y + x*z")) is None
+        assert split_product(parse_expr("x*x*y + x*x*x*z")) is None
+
+    def test_no_split_when_the_rest_shares_the_common_variable(self):
+        assert split_product(parse_expr("x*a + x*x*b")) is None
+        assert split_product(parse_expr("2*x*a + 2*b*x*x")) is None
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(sums_of_products())
+    def test_splits_match_the_counter_reference(self, case):
+        sk, expr = case
+        assert split_sum(expr) == _reference_split_sum(expr)
+        if type(expr) is alg.Add:
+            lists = [alg.product_factors(p) for p in expr.parts]
+            shared = functools.reduce(operator.and_, [p.mask for p in expr.parts])
+            common = dtree._common_factors(lists, shared)
+            assert common == _reference_common(lists)
+            for factors in lists:
+                assert dtree._remove_factors(factors, common) == _reference_remove(factors, common)
+        n = 2 if sk is B else 3
+        dists = {v: Distribution([(k, 1 / n) for k in range(n)]) for v in expr.vars()}
+        nus = list(all_valuations(dists)) or [{}]
+        for split, combine in ((split_sum, sk.add), (split_product, sk.mul)):
+            parts = split(expr)
+            if parts is None:
+                continue
+            for i, p in enumerate(parts):
+                for q in parts[i + 1:]:
+                    assert not p.mask & q.mask
+            want, *got = alg.eval_under([expr, *parts], nus, sk)
+            assert [functools.reduce(combine, vs) for vs in zip(*got)] == want
+
+
+class TestTreeShapes:
+    """Node and mutex counts of a few compiled trees, pinned: a change to
+    the independence splits states how it moves them."""
+
+    def test_q1_lineage(self, shops_db, q1_plan):
+        shapes = {}
+        for values, phi in evaluate(q1_plan, shops_db).rows:
+            tree = dtree.compile(phi, shops_db.var_dists)
+            shapes[values] = (node_count(tree), mutex_count(tree))
+        assert shapes == {
+            ("M&S", 10): (7, 0),
+            ("M&S", 50): (4, 0),
+            ("M&S", 11): (7, 0),
+            ("M&S", 60): (4, 0),
+            ("M&S", 15): (4, 0),
+            ("M&S", 40): (4, 0),
+            ("Gap", 15): (7, 0),
+            ("Gap", 60): (4, 0),
+            ("Gap", 10): (7, 0),
+        }
+
+    @pytest.mark.parametrize(
+        "text, nodes, mutex",
+        [
+            # x1 is common, and the rest splits into y11*(z1 + z5) and y12*z2.
+            ("x1*y11*z1 + x1*y11*z5 + x1*y12*z2", 11, 0),
+            # Connected through z1 and x2, with no common factor.
+            ("x1*y11*z1 + x2*y21*z1 + x2*y22*z2", 13, 1),
+        ],
+    )
+    def test_shops_style_sums(self, text, nodes, mutex):
+        expr = parse_expr(text)
+        tree = dtree.compile(expr, {v: coin() for v in expr.vars()})
+        assert (node_count(tree), mutex_count(tree)) == (nodes, mutex)
 
 
 class TestChooseBranchVariable:

@@ -50,6 +50,20 @@ class TestValidation:
         with pytest.raises(MissingDistribution):
             PvcDatabase([t], {}, B)
 
+    def test_missing_distribution_names_table_and_variable(self):
+        # The variable may sit in an annotation or in an aggregate cell
+        # of any row; the error names the table and the variable.
+        s = PvcTable("S", ("a",), (CONST,))
+        s.add_row((1,), Var("u"))
+        r = PvcTable("R", ("low",), (AGG,))
+        r.add_row((parse_expr("min{u(x)5}"),), Var("u"))
+        r.add_row((parse_expr("min{u*w(x)7}"),), Var("u"))
+        with pytest.raises(MissingDistribution, match="^R uses variable w without"):
+            PvcDatabase([s, r], {"u": coin()}, B)
+        db = PvcDatabase([s, r], {"u": coin(), "w": coin()}, B)
+        assert db.variables_of(["R"]) == {"u", "w"}
+        assert db.variables_of() == {"u", "w"}
+
     def test_sum_cells_rejected_under_set_semantics(self):
         t = PvcTable("R", ("total",), (AGG,))
         t.add_row((parse_expr("sum{u(x)5}"),), Var("u"))
