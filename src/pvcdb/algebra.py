@@ -22,10 +22,10 @@ finds them, and each node carries its variable set as an int bitmask
 over a process-wide variable index (see the section on expression
 trees).
 
-Every walk over an expression here and in :mod:`pvcdb.dtree`, but the
-sum-of-products normal form, is one bottom-up fold (:func:`fold`) on its
-own stack, so deep expressions meet no recursion limit; rewrites build
-nodes again through their smart constructors (:func:`rebuild`).
+Every walk over an expression here and in :mod:`pvcdb.dtree` is one
+bottom-up fold (:func:`fold`) on its own stack, so deep expressions meet
+no recursion limit; rewrites build nodes again through their smart
+constructors (:func:`rebuild`).
 
 Values are plain Python ints.  The Boolean semiring uses 0 for false and
 1 for true, which makes the set semantics a special case of the bag
@@ -41,8 +41,6 @@ import enum
 import itertools
 import operator
 import weakref
-from collections import Counter
-
 from .errors import (
     ArithmeticOverflow,
     CarrierMismatch,
@@ -90,14 +88,6 @@ class SemiringKind(enum.Enum):
 
     BOOLEAN = "bool"
     NATURAL = "nat"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def check_constant(self, value):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -226,16 +216,18 @@ _TABLE = {}
 _MISSING = type(None)
 _UIDS = itertools.count()
 _UID = operator.attrgetter("uid")
+_HAS_CMP = operator.attrgetter("has_cmp")
 #: Variable names by bit; a free bit holds None and waits in _FREE_BITS.
 _VAR_NAMES = []
 _FREE_BITS = []
 
 
-def _new(cls, key, mask):
+def _new(cls, key, mask, has_cmp=False):
     """A fresh node of ``cls``, entered in the unique table."""
     node = object.__new__(cls)
     node.uid = next(_UIDS)
     node.mask = mask
+    node.has_cmp = has_cmp
     node._occ = None
     node._ikey = key
     _TABLE[key] = weakref.ref(node)
@@ -254,14 +246,19 @@ def variable_of(bit):
     return _VAR_NAMES[bit.bit_length() - 1]
 
 
-def _names(mask):
-    """The variable names of the set bits of a mask."""
-    names = []
+def bits(mask):
+    """The set bits of a mask, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        names.append(_VAR_NAMES[low.bit_length() - 1])
+        out.append(low)
         mask ^= low
-    return frozenset(names)
+    return out
+
+
+def _names(mask):
+    """The variable names of the set bits of a mask."""
+    return frozenset([_VAR_NAMES[bit.bit_length() - 1] for bit in bits(mask)])
 
 
 class _Node:
@@ -270,12 +267,13 @@ class _Node:
     Structurally equal expressions, up to the order of the operands of
     + and * and of monoid sums, are one object, so equality is identity
     and ``key()`` is the node's uid.  ``mask`` is the node's variable set
-    as a bitmask; occurrence counts are merged from the children's once,
-    when first asked for.  Nodes are immutable, so untouched subtrees are
-    shared across rewrites.
+    as a bitmask, and ``has_cmp`` tells whether a conditional lies in it
+    (the node itself or below); occurrence counts are merged from the
+    children's once, when first asked for.  Nodes are immutable, so
+    untouched subtrees are shared across rewrites.
     """
 
-    __slots__ = ("uid", "mask", "_occ", "_ikey", "__weakref__")
+    __slots__ = ("uid", "mask", "has_cmp", "_occ", "_ikey", "__weakref__")
 
     def children(self):
         return ()
@@ -368,7 +366,7 @@ class _Nary(Expr):
         key = (cls._tag, *sorted(map(_UID, parts)))
         node = _TABLE.get(key, _MISSING)()
         if node is None:
-            node = _new(cls, key, _union(parts))
+            node = _new(cls, key, _union(parts), any(map(_HAS_CMP, parts)))
             node.parts = parts
         return node
 
@@ -409,7 +407,7 @@ class Cmp(Expr):
                 raise ValueError("unknown comparison operator %r" % theta)
             if isinstance(left, MExpr) != isinstance(right, MExpr):
                 raise CarrierMismatch("conditional sides must be of the same sort")
-            node = _new(cls, key, left.mask | right.mask)
+            node = _new(cls, key, left.mask | right.mask, True)
             node.left = left
             node.theta = theta
             node.right = right
@@ -462,7 +460,7 @@ class Scaled(MExpr):
         node = _TABLE.get(key, _MISSING)()
         if node is None:
             kind.check_value(value)
-            node = _new(cls, key, weight.mask)
+            node = _new(cls, key, weight.mask, weight.has_cmp)
             node.kind = kind
             node.weight = weight
             node.value = value
@@ -490,7 +488,7 @@ class MSum(MExpr):
                     raise CarrierMismatch(
                         "summand over %s inside a %s sum" % (t.kind.name, kind.name)
                     )
-            node = _new(cls, key, _union(terms))
+            node = _new(cls, key, _union(terms), any(map(_HAS_CMP, terms)))
             node.kind = kind
             node.terms = terms
         return node
@@ -752,11 +750,6 @@ def variables(*exprs):
     return _names(_union(exprs))
 
 
-def occurrences(expr):
-    """Occurrence counts of variables, counting every position."""
-    return Counter(expr.occ())
-
-
 def substitute(expr, name, value, done=None):
     """Replace every occurrence of a variable by a semiring constant.
 
@@ -836,79 +829,3 @@ def product_factors(expr):
     if isinstance(expr, Mul):
         return list(expr.parts)
     return [expr]
-
-
-# ---------------------------------------------------------------------------
-# Sum-of-products normal form
-# ---------------------------------------------------------------------------
-#
-# Used for order-insensitive comparison of expressions and for
-# term-level rewrites on conditionals.  A clause is a constant
-# coefficient together with a multiset of atoms (variables and
-# conditionals); a semimodule term is a clause scaled by one monoid
-# value.  Normalisation applies only distributivity, commutativity and
-# associativity, so it preserves the value under every valuation.
-
-
-def norm_semiring(expr):
-    """Multiset of clause keys of the fully distributed expression."""
-    return tuple(sorted(_clauses_key(expr)))
-
-
-def _clauses_key(expr):
-    if isinstance(expr, Var):
-        return [(1, (("v", expr.name),))]
-    if isinstance(expr, Const):
-        return [(expr.value, ())] if expr.value != 0 else []
-    if isinstance(expr, Cmp):
-        return [(1, (("c", expr.theta, _side_key(expr.left), _side_key(expr.right)),))]
-    if isinstance(expr, Add):
-        out = []
-        for p in expr.parts:
-            out.extend(_clauses_key(p))
-        return out
-    if isinstance(expr, Mul):
-        acc = [(1, ())]
-        for p in expr.parts:
-            nxt = []
-            for coeff, atoms in acc:
-                for c2, a2 in _clauses_key(p):
-                    nxt.append((coeff * c2, tuple(sorted(atoms + a2))))
-            acc = nxt
-        return [cl for cl in acc if cl[0] != 0]
-    raise CarrierMismatch("not a semiring expression: %r" % (expr,))
-
-
-def _side_key(side):
-    if isinstance(side, MExpr):
-        return ("M", side.kind.value, norm_semimodule(side))
-    return ("S", norm_semiring(side))
-
-
-def norm_semimodule(expr):
-    """Multiset of ``(value, coefficient, atoms)`` term keys."""
-    terms = []
-    for t in sum_parts(expr):
-        if isinstance(t, MConst):
-            if t.value != t.kind.neutral:
-                terms.append((t.value, 1, ()))
-        elif isinstance(t, Scaled):
-            for coeff, atoms in _clauses_key(t.weight):
-                terms.append((t.value, coeff, atoms))
-        else:
-            raise CarrierMismatch("not a semimodule expression: %r" % (t,))
-    return tuple(sorted(terms))
-
-
-def norm_key(expr):
-    """Canonical key identifying expressions up to the semiring and
-    semimodule laws (distribution into sum-of-products form)."""
-    if isinstance(expr, MExpr):
-        return ("M", expr.kind.value, norm_semimodule(expr))
-    return ("S", norm_semiring(expr))
-
-
-def equivalent(a, b):
-    """True when two expressions are equal up to commutativity,
-    associativity and distributivity."""
-    return norm_key(a) == norm_key(b)

@@ -33,6 +33,15 @@ exponential.  Expressions are interned (:mod:`pvcdb.algebra`), so the
 compile memo, the matching of common factors and the substitutions
 made under one binding are all keyed on node identity.
 
+In the Boolean semiring a variable, a product of distinct variables and
+a sum of such clauses compile in their *clause form* (:class:`_Clauses`),
+the sorted bitmasks of their clauses, which is also their memo key, so
+they share nodes as their interned expressions would.  The same rules
+read off the masks, and a case split drops the clauses that hold its
+variable where it is 0 and clears its bit where it is 1, with no
+substitution.  A dump lists the children of such an independence node
+in variable-index order.
+
 Sum and product nodes are n-ary: one split yields every connected
 component, so an aggregate over n independent tuples is one node with n
 children, compiled in linear time and folded in one loop with a kernel
@@ -104,13 +113,13 @@ gives all terms of one outcome class one value and makes a term whose
 condition is a sum of clauses one term per clause.  Where the kept
 terms lie in one class, the conditional only asks whether a kept clause
 fires, and in the Boolean semiring it becomes their disjunction, a
-comparison of a semiring sum with 0.  Case splits on such a sum set
-clauses to 1, and a Boolean sum with a non-zero constant part compiles
-to the one leaf of 1.  Where kept terms lie in two classes, case splits
-that differ only in which term of a class fired reach equal
-sub-expressions and share one compiled subtree, and substitution
-collapses the sum, deciding the comparison, as soon as one term's
-weight is known to be non-zero (:func:`pvcdb.algebra.make_scaled`).
+comparison of a clause sum with 0, built from the clauses at once; a
+Boolean sum with a non-zero constant part compiles to the one leaf of
+1.  Where kept terms lie in two classes, case splits that differ only
+in which term of a class fired reach equal sub-expressions and share
+one compiled subtree, and substitution collapses the sum, deciding the
+comparison, as soon as one term's weight is known to be non-zero
+(:func:`pvcdb.algebra.make_scaled`).
 The unit rule steers case splits in both forms: a clause left with one
 variable decides the sum where that variable is non-zero, and where it
 is zero every clause that contains it vanishes.
@@ -452,9 +461,10 @@ def split_sum(expr):
     parts = alg.sum_parts(expr)
     if len(parts) < 2:
         return None
-    if _disjoint(parts):
+    masks = [p.mask for p in parts]
+    if _disjoint(masks):
         return parts
-    if functools.reduce(operator.and_, [p.mask for p in parts]):
+    if functools.reduce(operator.and_, masks):
         return None
     groups = _components(parts)
     if len(groups) < 2:
@@ -462,12 +472,11 @@ def split_sum(expr):
     return [alg.rebuild(expr, g) for g in groups]
 
 
-def _disjoint(parts):
-    """True when no part is constant and no two share a variable, so
-    that each part is a component of its own."""
+def _disjoint(masks):
+    """True when no part of these variable masks is constant and no two
+    share a variable, so that each is a component of its own."""
     seen = 0
-    for p in parts:
-        mask = p.mask
+    for mask in masks:
         if not mask or mask & seen:
             return False
         seen |= mask
@@ -503,7 +512,7 @@ def split_product(expr):
     all summands (:func:`_common_factors`).
     """
     if isinstance(expr, Mul):
-        if _disjoint(expr.parts):
+        if _disjoint([p.mask for p in expr.parts]):
             return list(expr.parts)
         groups = _components(expr.parts)
         if len(groups) < 2:
@@ -580,7 +589,7 @@ def choose_branch_variable(*exprs, sk=SemiringKind.BOOLEAN):
     occurrences in the expressions as written; ties break towards the
     lexicographically smallest name.
     """
-    if len(exprs) == 1:
+    if len(exprs) == 1:  # an expression or a clause form
         counts = exprs[0].occ()
     else:
         counts = Counter()
@@ -612,26 +621,68 @@ def _unit_variable(exprs, counts, boolean):
     for expr in exprs:
         for side in (expr.left, expr.right) if type(expr) is Cmp else (expr,):
             t = type(side)
-            if t is Add:
+            if t is _Clauses:
+                units = [(alg.INF, [alg.variable_of(c) for c in side if not c & (c - 1)])]
+            elif t is Add:
                 if not boolean:
                     continue
-                units = [(alg.INF, side.parts)]
+                units = [(alg.INF, [c.name for c in side.parts if type(c) is Var])]
             elif (t is Scaled or t is MSum) and side.kind in _EXTREMES:
                 sign = 1 if side.kind is MonoidKind.MIN else -1
                 units = [
-                    (sign * s.value, alg.sum_parts(s.weight))
+                    (sign * s.value, [c.name for c in alg.sum_parts(s.weight) if type(c) is Var])
                     for s in alg.sum_parts(side)
                     if type(s) is Scaled
                 ]
             else:
                 continue
-            for value, clauses in units:
-                for clause in clauses:
-                    if type(clause) is Var:
-                        rank = (value, -counts[clause.name], clause.name)
-                        if best is None or rank < best:
-                            best = rank
+            for value, names in units:
+                for name in names:
+                    rank = (value, -counts[name], name)
+                    if best is None or rank < best:
+                        best = rank
     return None if best is None else best[2]
+
+
+class _Clauses(tuple):
+    """A Boolean sum of clauses, each a product of distinct variables, as
+    their sorted masks.  Masks hold while the variables live, so one
+    lasts no longer than the compile that reads it."""
+
+    __slots__ = ()
+
+    def occ(self):
+        """Occurrence counts of variables by name."""
+        counts = {}
+        for c in self:
+            for bit in alg.bits(c):
+                counts[bit] = counts.get(bit, 0) + 1
+        return {alg.variable_of(bit): n for bit, n in counts.items()}
+
+
+def _clause_form(expr):
+    """The clause form (:class:`_Clauses`) of a Var, a Mul of distinct
+    Vars or an Add of such parts, else None."""
+    masks = []
+    for p in expr.parts if type(expr) is Add else (expr,):
+        t = type(p)
+        if t is not Var and not (
+            t is Mul
+            and all(type(v) is Var for v in p.parts)
+            and p.mask.bit_count() == len(p.parts)
+        ):
+            return None
+        masks.append(p.mask)
+    return _clause_sum(masks)
+
+
+def _clause_sum(masks):
+    """The clause form of these masks, the constant 0 without a clause
+    and 1 with an empty one."""
+    masks.sort()
+    if not masks:
+        return Const(0)
+    return _Clauses(masks) if masks[0] else Const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +726,13 @@ class _Compiler:
         Equal inputs recur across mutex branches; compiling each once
         turns the tree into a DAG without changing any distribution.
         Expressions are interned, so the memo is keyed on identity, and a
-        tuple of them is its own key; a semiring and a monoid constant of
-        one value share a leaf, and so, in the Boolean semiring, does a
-        sum with a non-zero constant part, which is 1 under every
-        valuation.  The walk keeps its own post-order stack: an input is
-        expanded when first seen into its node, whose ``parts`` hold the
-        inputs to compile next; once their trees lie on top of ``done``,
-        they replace the inputs in place.
+        tuple of them is its own key, as is a clause form; a semiring and a
+        monoid constant of one value share a leaf, and so, in the Boolean
+        semiring, does a sum with a non-zero constant part, which is 1
+        under every valuation.  The walk keeps its own post-order stack:
+        an input is expanded when first seen into its node, whose
+        ``parts`` hold the inputs to compile next; once their trees lie on
+        top of ``done``, they replace the inputs in place.
         """
         memo = self.memo
         boolean = self.sk is SemiringKind.BOOLEAN
@@ -698,12 +749,14 @@ class _Compiler:
                 memo[key] = node
                 done.append(node)
                 continue
-            if t is Const or t is MConst:
-                key = ("k", item.value)
-            elif t is Add and boolean and any(type(p) is Const and p.value for p in item.parts):
-                key, item = ("k", 1), Const(1)
-            else:
-                key = item
+            if boolean and (t is Var or t is Mul or t is Add):
+                form = _clause_form(item)
+                if form is not None:
+                    item = form
+                elif t is Add and any(type(p) is Const and p.value for p in item.parts):
+                    item = Const(1)
+                t = type(item)
+            key = ("k", item.value) if t is Const or t is MConst else item
             node = memo.get(key)
             if node is None:
                 if self.remaining is not None:
@@ -730,6 +783,8 @@ class _Compiler:
         (:meth:`_joint_sum`); a joint that does not, like an expression
         that no independence split applies to, splits into cases.
         """
+        if type(item) is _Clauses:
+            return self._clause_node(item)
         if type(item) is tuple:
             mask = functools.reduce(operator.or_, [e.mask for e in item])
             if mask and not mask & (mask - 1):  # one variable
@@ -768,6 +823,32 @@ class _Compiler:
         x = choose_branch_variable(*exprs, sk=self.sk)
         entries = self.dist_of(x).entries
         return MutexNode(x, entries, [self.substitute(item, x, v) for v, _ in entries])
+
+    def _clause_node(self, clauses):
+        """The node of a clause form, by the rules, in the order, that its
+        expression meets: a leaf or a product of leaves, the independence
+        splits (:func:`split_sum`, :func:`split_product`), a case split."""
+        mask = clauses[0] if len(clauses) == 1 else functools.reduce(operator.or_, clauses)
+        if not mask & (mask - 1):  # one variable
+            name = alg.variable_of(mask)
+            dist = self.dist_of(name)
+            return VarLeaf(name, dist, None if len(clauses) == 1 else dist.support)
+        if len(clauses) == 1:
+            return ProdNode([_Clauses((bit,)) for bit in alg.bits(mask)])
+        if _disjoint(clauses):
+            return SumNode([_Clauses((c,)) for c in clauses])
+        shared = functools.reduce(operator.and_, clauses)
+        if shared:
+            return ProdNode([_Clauses((shared,)), _clause_sum([c & ~shared for c in clauses])])
+        groups = connected_groups([(c, c) for c in clauses])
+        if len(groups) > 1:
+            return SumNode([_Clauses(g) for g in groups])
+        x = choose_branch_variable(clauses, sk=self.sk)
+        entries = self.dist_of(x).entries
+        bit = Var(x).mask
+        kept = _clause_sum([c for c in clauses if not c & bit])
+        cleared = _clause_sum([c & ~bit for c in clauses])
+        return MutexNode(x, entries, [cleared if v else kept for v, _ in entries])
 
     def _tabulated(self, item, mask):
         """The leaf of an expression, or a joint of them, over the one
@@ -1266,6 +1347,9 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
             # No remaining term can decide the comparison, so its truth
             # is that of the empty sum against the bound.
             return Const(1 if alg.compare(kind.neutral, bound, theta) else 0)
+        lean = sk is SemiringKind.BOOLEAN and _disjunction(kept, kind, theta, bound)
+        if lean:
+            return lean
         # (Φ + Ψ) ⊗ v = Φ ⊗ v + Ψ ⊗ v under MIN and MAX in both
         # semirings: one term per clause, repeats dropped (idempotence).
         split = []
@@ -1300,6 +1384,26 @@ def prune(cond, sk=SemiringKind.BOOLEAN, var_dists=None):
             return Cmp(MConst(kind, 0), theta, right)
         return Cmp(alg.make_msum(kind, kept), theta, right)
     return cond
+
+
+def _disjunction(kept, kind, theta, bound):
+    """The Boolean form of a MIN or MAX conditional whose kept terms are
+    scaled and lie in one class, built from their weights' clauses as
+    :func:`prune` would build it through the class representatives and a
+    term per clause; None for other terms or a constant clause."""
+    clauses, classes = [], set()
+    for t in kept:
+        if type(t) is not Scaled:
+            return None
+        classes.add(_outcome_class(t.value, theta, bound))
+        clauses += alg.sum_parts(t.weight)
+    if len(classes) > 1 or any(type(c) is Const or type(c) is Add for c in clauses):
+        return None
+    fires = alg.compare(kept[0].value, bound, theta)
+    if fires == alg.compare(kind.neutral, bound, theta):
+        return Const(1 if fires else 0)
+    weights = alg.make_sum(list(dict.fromkeys(clauses)))
+    return alg.make_cmp(weights, "!=" if fires else "=", Const(0))
 
 
 def _outcome_class(value, theta, bound):
@@ -1404,14 +1508,30 @@ def _sum_forced(theta, terms, bound, sk, var_dists):
     return Const(1 if decided else 0)
 
 
+class _Pruned(dict):
+    """Pruned forms by sub-expression, a :func:`pvcdb.algebra.fold` memo
+    that holds each conditional-free one as itself, so it is not entered."""
+
+    def __contains__(self, e):
+        return not e.has_cmp or dict.__contains__(self, e)
+
+    def __missing__(self, e):
+        if e.has_cmp:
+            raise KeyError(e)
+        return e
+
+
 def prune_all(expr, sk=SemiringKind.BOOLEAN, var_dists=None):
     """Apply :func:`prune` to every conditional inside an expression.
 
-    Subtrees in which nothing changes are returned as they are.  Each
+    Subtrees in which nothing changes, such as those without a
+    conditional, are returned as they are and not entered.  Each other
     distinct sub-expression is pruned once, after its children
     (:func:`pvcdb.algebra.fold`).
     """
-    pruned = {}  # sub-expression -> its pruned form
+    if not expr.has_cmp:
+        return expr
+    pruned = _Pruned()
 
     def visit(e):
         if type(e) is Cmp:

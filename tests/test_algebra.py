@@ -30,6 +30,8 @@ from pvcdb.algebra import (
 from pvcdb.errors import ArithmeticOverflow, CarrierMismatch, UnboundVariable
 from pvcdb.exprtext import format_expr, parse_expr
 
+from normal_form import equivalent, occurrences
+
 B = SemiringKind.BOOLEAN
 N = SemiringKind.NATURAL
 
@@ -231,7 +233,7 @@ class TestEvaluationProperties:
             copy = _shuffled_copy(rng, expr)
             nu = {n: rng.randint(0, 3) for n in names}
             assert expr.eval(nu, N) == copy.eval(nu, N)
-            assert alg.equivalent(expr, copy)
+            assert equivalent(expr, copy)
 
     def test_scaling_distributes_over_semiring_sum(self):
         rng = random.Random(37)
@@ -276,16 +278,16 @@ class TestEvaluationProperties:
 
 class TestNormalization:
     def test_distribution_into_clauses(self):
-        assert alg.equivalent(parse_expr("x*(y + z)"), parse_expr("x*y + x*z"))
-        assert not alg.equivalent(parse_expr("x*(y + z)"), parse_expr("x*y + z"))
+        assert equivalent(parse_expr("x*(y + z)"), parse_expr("x*y + x*z"))
+        assert not equivalent(parse_expr("x*(y + z)"), parse_expr("x*y + z"))
 
     def test_semimodule_expansion(self):
         a = parse_expr("sum{(a + b)(x)5}")
         b = parse_expr("sum{a(x)5 + b(x)5}")
-        assert alg.equivalent(a, b)
+        assert equivalent(a, b)
 
     def test_duplicates_are_kept(self):
-        assert not alg.equivalent(parse_expr("x + x"), parse_expr("x"))
+        assert not equivalent(parse_expr("x + x"), parse_expr("x"))
 
 
 class TestSmartConstructors:
@@ -312,7 +314,7 @@ class TestSmartConstructors:
         a = parse_expr("sum{a*(b + c)(x)10 + c(x)20}")
         sub = alg.substitute(a, "c", 0)
         assert alg.variables(sub) == {"a", "b"}
-        assert alg.equivalent(sub, parse_expr("sum{a*b(x)10}"))
+        assert equivalent(sub, parse_expr("sum{a*b(x)10}"))
 
     def test_mixed_kind_sum_rejected(self):
         with pytest.raises(CarrierMismatch):
@@ -528,9 +530,9 @@ class TestHashConsing:
 
     def test_occurrences_are_a_copy(self):
         e = parse_expr("x*y + x")
-        counts = alg.occurrences(e)
+        counts = occurrences(e)
         counts["x"] += 10
-        assert alg.occurrences(e) == {"x": 2, "y": 1}
+        assert occurrences(e) == {"x": 2, "y": 1}
 
     def test_commuted_duplicates_print_in_the_first_built_order(self):
         # x*y and y*x are one node, which keeps the operand order it was
@@ -680,3 +682,45 @@ class TestSubstitution:
             for sub in _subexpressions(expr):
                 if x not in sub.vars():
                     assert alg.substitute(sub, x, v, shared) is sub
+
+
+class TestConditionalFlag:
+    """``has_cmp`` against a fold kept here: a conditional has one below
+    it, any other node where one of its children does."""
+
+    @staticmethod
+    def _reference(expr):
+        flags = {}
+        alg.fold(
+            (expr,), lambda e: type(e) is Cmp or any(flags[c] for c in e.children()), flags
+        )
+        return flags
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_a_reference_fold(self, data):
+        expr = data.draw(_expressions(data.draw(st.sampled_from([B, N]))))
+        for sub, flag in self._reference(expr).items():
+            assert sub.has_cmp is flag, sub
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x",
+            "2",
+            "x*y + z",
+            "min{x(x)3 + 4}",
+            "sum{x*[y = 0](x)2}",
+            "[x + y != 0]",
+            "x*[y <= z]",
+        ],
+    )
+    def test_parsed_and_raw_nodes(self, text):
+        expr = parse_expr(text)
+        if isinstance(expr, alg.MExpr):
+            raw = [Cmp(expr, "<=", MConst(expr.kind, 5))]
+        else:
+            raw = [Add([expr, Var("w")]), Mul([Const(1), expr])]
+        for e in [expr, *raw]:
+            for sub, flag in self._reference(e).items():
+                assert sub.has_cmp is flag, sub

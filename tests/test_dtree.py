@@ -42,6 +42,8 @@ from pvcdb.exprtext import parse_expr
 from pvcdb.oracle import brute_distribution
 from pvcdb.prob import Distribution
 
+from normal_form import equivalent, occurrences
+
 B = SemiringKind.BOOLEAN
 N = SemiringKind.NATURAL
 
@@ -96,7 +98,7 @@ class TestSplits:
         expr = parse_expr("x1*y11 + x1*y12")
         psi, rest = split_product(expr)
         assert alg.variables(psi) == {"x1"}
-        assert alg.equivalent(rest, parse_expr("y11 + y12"))
+        assert equivalent(rest, parse_expr("y11 + y12"))
 
     def test_scalar_rule(self):
         expr = parse_expr("sum{a*b(x)10 + a(x)20}")
@@ -120,7 +122,7 @@ class TestSplits:
         assert rest == MConst(MonoidKind.MIN, 4)
         scaled = alg.Scaled(MonoidKind.SUM, alg.make_product([Const(2), Var("a"), Var("b")]), 3)
         psi, rest = split_scale(scaled)
-        assert alg.equivalent(psi, parse_expr("a*b"))
+        assert equivalent(psi, parse_expr("a*b"))
         assert rest == MConst(MonoidKind.SUM, 6)
         assert split_scale(alg.Scaled(MonoidKind.SUM, Const(2), 3)) is None
 
@@ -795,7 +797,7 @@ class TestPrune:
             assert dtree.prune_all(expr, sk) is expr
         expr = parse_expr("y*[min{a(x)3 + b(x)9} <= 5] + z*[sum{a(x)2} >= 1]")
         out = dtree.prune_all(expr, N)
-        assert alg.equivalent(out, parse_expr("y*[min{a(x)3} <= 5] + z*[sum{a(x)2} >= 1]"))
+        assert equivalent(out, parse_expr("y*[min{a(x)3} <= 5] + z*[sum{a(x)2} >= 1]"))
         assert out.parts[1] is expr.parts[1]
         out = dtree.prune_all(expr, B)
         assert out is parse_expr("y*[a != 0] + z*[sum{a(x)2} >= 1]")
@@ -803,7 +805,7 @@ class TestPrune:
 
     def test_min_drops_terms_above_bound(self):
         cond = parse_expr("[min{x(x)10 + y(x)20} <= 15]")
-        assert alg.equivalent(prune(cond, N), parse_expr("[min{x(x)10} <= 15]"))
+        assert equivalent(prune(cond, N), parse_expr("[min{x(x)10} <= 15]"))
         # In B only whether x fires is left to ask.
         assert prune(cond, B) is parse_expr("[x != 0]")
         dists = {"x": coin(0.3), "y": coin(0.6)}
@@ -918,7 +920,7 @@ class TestPrune:
         # part 5 stays above every representative of the class.
         cond = parse_expr("[min{x(x)4 + y(x)2 + 5} = 5]")
         out = prune(cond)
-        assert alg.equivalent(out, parse_expr("[min{x(x)2 + y(x)2 + 5} = 5]"))
+        assert equivalent(out, parse_expr("[min{x(x)2 + y(x)2 + 5} = 5]"))
         dists = {"x": coin(0.3), "y": coin(0.6)}
         got = distribution(dtree.compile(out, dists, B), B)
         assert got.close_to(brute_distribution(cond, dists, B), 1e-12)
@@ -1088,10 +1090,10 @@ class TestCompileJoint:
             parse_expr("x*y + y*z + z*x"),
             parse_expr("min{x*w(x)1 + w*u0(x)2 + w*u1(x)3 + w*u2(x)4 + w*u3(x)5}"),
         ]
-        before = [dict(alg.occurrences(e)) for e in exprs]
+        before = [dict(occurrences(e)) for e in exprs]
         dists = {n: coin() for e in exprs for n in alg.variables(e)}
         tree = compile_joint(exprs, dists, B)
-        assert [dict(alg.occurrences(e)) for e in exprs] == before
+        assert [dict(occurrences(e)) for e in exprs] == before
         got = distribution(tree, B)
         acc = {}
         for nu in all_valuations(dists):
@@ -1212,3 +1214,213 @@ class TestDumps:
             '  n5 -> n2 [label="0 (p=0.5)"];',
         ]
         assert sum(1 for ln in dot if "[label=" in ln and "->" not in ln) == 6
+
+
+SUPPORTS = {
+    "coin": Distribution([(0, 0.4), (1, 0.6)]),
+    "one": Distribution([(1, 1.0)]),
+    "zero": Distribution([(0, 1.0)]),
+}
+
+
+@st.composite
+def clause_sums(draw):
+    """A positive sum of clauses over 1 to 6 variables, each variable
+    with support {0, 1}, {1} or {0}: clauses may repeat, be subsumed by
+    others or be one variable, and one variable may be in every clause."""
+    names = ["v%d" % i for i in range(draw(st.integers(1, 6)))]
+    clause = st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
+    clauses = draw(st.lists(clause, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        base = draw(st.sampled_from(clauses))
+        extra = draw(st.lists(st.sampled_from(names), max_size=2))
+        clauses.append(base + [v for v in dict.fromkeys(extra) if v not in base])
+    if draw(st.booleans()):
+        common = draw(st.sampled_from(names))
+        clauses = [c if common in c else c + [common] for c in clauses]
+    expr = alg.make_sum([alg.make_product([Var(v) for v in c]) for c in clauses])
+    used = sorted(expr.vars())
+    kinds = st.lists(st.sampled_from(sorted(SUPPORTS)), min_size=len(used), max_size=len(used))
+    kinds = draw(kinds)
+    return expr, {v: SUPPORTS[k] for v, k in zip(used, kinds)}
+
+
+class TestClauseForm:
+    """Boolean sums of clauses compile from their clause masks, into the
+    trees their expressions compile to."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(clause_sums())
+    def test_trees_read_back_and_match_brute_force(self, case):
+        expr, dists = case
+        for source in (expr, Cmp(expr, "!=", Const(0))):
+            tree = dtree.compile(source, dists, B)
+            assert dtree.validate(tree, dists)
+            for nu in all_valuations(dists):
+                assert eval_dtree(tree, nu, B) == source.eval(nu, B)
+            want = brute_distribution(source, dists, B)
+            assert distribution(tree, B).close_to(want, 1e-9)
+
+    @pytest.mark.parametrize(
+        "text,nodes,mutex",
+        [
+            # A clause sum under a factor that is no clause, and one left
+            # by the case split of the sum around it.
+            ("x*y*(z + w) + x*v*z", 10, 1),
+            ("x*y*(z + w) + x*v*z + v*w", 11, 2),
+            ("[x*y + y*z + z*x != 0]*(w + x*v)", 14, 2),
+        ],
+    )
+    def test_mixed_inputs_keep_their_counts(self, text, nodes, mutex):
+        expr = parse_expr(text)
+        tree = dtree.compile(expr, {v: coin() for v in expr.vars()}, B)
+        assert (node_count(tree), mutex_count(tree)) == (nodes, mutex)
+
+    def test_a_repeated_variable_is_a_tabulated_leaf(self):
+        # As the expression path tabulates x + x over the values of x.
+        for support, label in ((coin(), "x{0:0 1:1}"), (SUPPORTS["one"], "x{1:1}")):
+            tree = dtree.compile(parse_expr("x + x"), {"x": support}, B)
+            assert tree.label() == label
+
+    def test_joint_of_a_clause_sum_keeps_its_counts(self):
+        exprs = (
+            parse_expr("a*b + b*c + c*a + d"),
+            parse_expr("min{a*d(x)1 + d*e(x)2 + b*e(x)3 + c(x)4}"),
+        )
+        dists = {v: coin() for e in exprs for v in e.vars()}
+        tree = dtree.compile(exprs, dists, B)
+        assert (node_count(tree), mutex_count(tree)) == (30, 10)
+
+    @pytest.mark.parametrize(
+        "params,budget",
+        [
+            (dict(terms_left=12, clauses=2, literals=2, num_vars=20, c=25, seed=91), 20),
+            (dict(terms_left=32, clauses=3, literals=3, num_vars=25, c=50, seed=1), 5950),
+        ],
+    )
+    def test_smallest_budget_of_c09_inputs(self, params, budget):
+        params = cli.GenParams(maxv=50, **params)
+        expr, dists = cli.gen_expression(params), cli.gen_var_dists(params, 0.5)
+        pruned = dtree.prune_all(expr, B, dists)
+        dtree.compile(pruned, dists, B, node_budget=budget)
+        with pytest.raises(BudgetExceeded):
+            dtree.compile(pruned, dists, B, node_budget=budget - 1)
+
+    def test_children_in_variable_index_order(self):
+        # A dump lists an independence node's children in the order of
+        # their clause masks, which follows the variable index.
+        expr = parse_expr("z + x*y*w + v")
+        tree = dtree.compile(expr, {n: coin() for n in expr.vars()}, B)
+
+        def mask(d):
+            return functools.reduce(operator.or_, [Var(n).mask for n in tree_vars(d)])
+
+        assert isinstance(tree, SumNode)
+        product = next(c for c in tree.parts if len(c.parts) == 3)
+        for node in (tree, product):
+            masks = [mask(c) for c in node.parts]
+            assert masks == sorted(masks)
+
+
+def _reference_minmax_prune(cond, sk):
+    """:func:`prune` of a MIN or MAX conditional with a constant bound
+    by the general path alone: class representatives, one scaled term
+    per clause, then the disjunction of the kept weights."""
+    left, theta, right = cond.left, cond.theta, cond.right
+    if type(left) is MConst:
+        left, right, theta = right, left, dtree._MIRROR[theta]
+    kind, bound, terms = left.kind, right.value, alg.sum_parts(left)
+    forced = alg.make_cmp(left, theta, right)
+    if type(forced) is Const:
+        return forced
+    idle = dtree._outcome_class(kind.neutral, theta, bound)
+    kept = [t for t in terms if dtree._outcome_class(t.value, theta, bound) != idle]
+    if not kept:
+        return Const(1 if alg.compare(kind.neutral, bound, theta) else 0)
+    split = []
+    for t in dtree._class_representatives(kept, kind, theta, bound):
+        if type(t) is Scaled and type(t.weight) is alg.Add:
+            split += [alg.make_scaled(kind, c, t.value) for c in t.weight.parts]
+        else:
+            split.append(t)
+    kept = list(dict.fromkeys(split))
+    value = kept[0].value
+    if all(type(t) is Scaled and t.value == value for t in kept):
+        fires = alg.compare(value, bound, theta)
+        if fires == alg.compare(kind.neutral, bound, theta):
+            return Const(1 if fires else 0)
+        if sk is B:
+            weights = alg.make_sum([t.weight for t in kept])
+            return alg.make_cmp(weights, "!=" if fires else "=", Const(0))
+    if len(kept) == len(terms) and all(map(operator.is_, kept, terms)):
+        return cond
+    return alg.make_cmp(alg.make_msum(kind, kept), theta, right)
+
+
+class TestLeanDisjunction:
+    @pytest.mark.parametrize("sk", [B, N])
+    @pytest.mark.parametrize("kind", [MonoidKind.MIN, MonoidKind.MAX])
+    @pytest.mark.parametrize("theta", alg.THETAS)
+    def test_matches_the_general_path(self, sk, kind, theta):
+        # c07-style conditionals, with clauses that are constants and
+        # terms that are, raw and folded.
+        rng = random.Random("lean/%s/%s/%s" % (sk.value, kind.value, theta))
+        names = ["v%d" % i for i in range(5)]
+        for case in range(200):
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                clauses = [
+                    alg.make_product([Var(rng.choice(names)) for _ in range(rng.randint(1, 2))])
+                    for _ in range(rng.randint(1, 3))
+                ]
+                if rng.random() < 0.2:
+                    clauses.append(Const(rng.randint(0, 1)))
+                build = Scaled if rng.random() < 0.3 else alg.make_scaled
+                terms.append(build(kind, alg.make_sum(clauses), rng.randint(0, 12)))
+            if rng.random() < 0.2:
+                terms.append(MConst(kind, rng.randint(0, 12)))
+            if not terms:
+                continue
+            body, bound = alg.make_msum(kind, terms), MConst(kind, rng.randint(0, 12))
+            if type(body) is MConst:
+                continue
+            cond = Cmp(body, theta, bound) if rng.random() < 0.7 else Cmp(bound, theta, body)
+            assert prune(cond, sk) is _reference_minmax_prune(cond, sk), (case, cond)
+
+    def test_constant_clause_takes_the_general_path(self):
+        cond = Cmp(alg.make_msum(MonoidKind.MIN, [
+            Scaled(MonoidKind.MIN, parse_expr("x + 1"), 3),
+            Scaled(MonoidKind.MIN, parse_expr("y"), 4),
+        ]), "<=", MConst(MonoidKind.MIN, 5))
+        assert prune(cond, B) is _reference_minmax_prune(cond, B) is Const(1)
+
+
+class TestPruneSkipsConditionalFree:
+    @pytest.mark.parametrize(
+        "text", ["x*y + z", "x", "3", "min{x(x)3 + y*z(x)4}", "sum{x(x)2 + 5}", "(x + y)*z"]
+    )
+    def test_returns_its_input(self, text, monkeypatch):
+        def no_fold(*args):
+            raise AssertionError("walked a conditional-free expression")
+
+        monkeypatch.setattr(alg, "fold", no_fold)
+        expr = parse_expr(text)
+        for sk in (B, N):
+            assert dtree.prune_all(expr, sk) is expr
+
+    def test_enters_only_subtrees_with_a_conditional(self, monkeypatch):
+        visited = []
+        fold = alg.fold
+
+        def recording(roots, visit, memo, mask=None):
+            def recorded(e):
+                visited.append(e)
+                return visit(e)
+
+            return fold(roots, recorded, memo, mask)
+
+        monkeypatch.setattr(alg, "fold", recording)
+        expr = parse_expr("a*b*c + d*(e + f) + g*[min{x(x)3 + y(x)9} <= 5]")
+        out = dtree.prune_all(expr, B)
+        assert out is parse_expr("a*b*c + d*(e + f) + g*[x != 0]")
+        assert visited and all(e.has_cmp for e in visited)
