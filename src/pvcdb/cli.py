@@ -53,6 +53,7 @@ from .errors import (
     InvalidParams,
     ParseError,
     PvcError,
+    RepeatedRelation,
 )
 from .exprtext import format_expr, parse_expr
 from .prob import Distribution, format_distribution
@@ -333,6 +334,11 @@ def load_database(table_paths, prob_path, semiring):
         sk = SemiringKind(semiring)
     except ValueError:
         raise InvalidParams("unknown semiring %r, not 'bool' or 'nat'" % (semiring,)) from None
+    names = [pathlib.Path(p).stem for p in table_paths]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            first = table_paths[names.index(name)]
+            raise RepeatedRelation("relation %s is in both %s and %s" % (name, first, table_paths[i]))
     tables = [load_table(p) for p in table_paths]
     var_dists = load_probabilities(prob_path)
     return pvc.PvcDatabase(tables, var_dists, sk)
@@ -461,7 +467,7 @@ _SWEEPABLE = (
 
 
 def run_benchmark(base_params, sweep_param, values, mode="compile", var_prob=0.5):
-    """Time compile+distribute over a parameter sweep.
+    """Time prune+compile+distribute+node count over a parameter sweep.
 
     Each sweep point runs ``runs`` freshly generated expressions; the
     slowest and fastest run are dropped before averaging.  Node counts
@@ -569,13 +575,20 @@ def _add_db_args(sub, query_required=True):
     group.add_argument("--query-file", help="file holding one query")
 
 
+def _limit(text):
+    """A limit flag's value: an int of 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected an int of 0 or more, not %r" % text)
+    return int(text)
+
+
 #: The flags that several subcommands share, each registered only on
 #: the subcommands that read it.
 _FLAGS = {
     "--semiring": dict(choices=("bool", "nat"), default="bool"),
     "--seed": dict(type=int, default=1),
-    "--world-limit": dict(type=int, default=pvc.DEFAULT_WORLD_LIMIT),
-    "--node-budget": dict(type=int, default=None),
+    "--world-limit": dict(type=_limit, default=pvc.DEFAULT_WORLD_LIMIT),
+    "--node-budget": dict(type=_limit, default=None),
     "--joint": dict(action="store_true"),
 }
 

@@ -589,18 +589,13 @@ def choose_branch_variable(*exprs, sk=SemiringKind.BOOLEAN):
     occurrences in the expressions as written; ties break towards the
     lexicographically smallest name.
     """
-    if len(exprs) == 1:  # an expression or a clause form
-        counts = exprs[0].occ()
-    else:
-        counts = Counter()
-        for expr in exprs:
-            counts.update(expr.occ())
+    counts = Counter()
+    for expr in exprs:
+        counts.update(expr.occ())
     if not counts:
         raise NoVariables("expression has no variables")
     unit = _unit_variable(exprs, counts, sk is SemiringKind.BOOLEAN)
-    if unit is not None:
-        return unit
-    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    return unit or min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
 def _unit_variable(exprs, counts, boolean):
@@ -621,9 +616,7 @@ def _unit_variable(exprs, counts, boolean):
     for expr in exprs:
         for side in (expr.left, expr.right) if type(expr) is Cmp else (expr,):
             t = type(side)
-            if t is _Clauses:
-                units = [(alg.INF, [alg.variable_of(c) for c in side if not c & (c - 1)])]
-            elif t is Add:
+            if t is Add:
                 if not boolean:
                     continue
                 units = [(alg.INF, [c.name for c in side.parts if type(c) is Var])]
@@ -651,14 +644,6 @@ class _Clauses(tuple):
 
     __slots__ = ()
 
-    def occ(self):
-        """Occurrence counts of variables by name."""
-        counts = {}
-        for c in self:
-            for bit in alg.bits(c):
-                counts[bit] = counts.get(bit, 0) + 1
-        return {alg.variable_of(bit): n for bit, n in counts.items()}
-
 
 def _clause_form(expr):
     """The clause form (:class:`_Clauses`) of a Var, a Mul of distinct
@@ -685,6 +670,28 @@ def _clause_sum(masks):
     return _Clauses(masks) if masks[0] else Const(1)
 
 
+def _branch_bit(clauses, mask):
+    """The bit of the variable to split ``clauses`` (over ``mask``) on, as
+    :func:`choose_branch_variable` picks it.  ``levels[i]`` holds the
+    variables whose count has bit i set; from the top level down, the pool
+    (units, else all) keeps those with the level's bit if any has it."""
+    units, levels = 0, []
+    for c in clauses:
+        if not c & (c - 1):
+            units |= c
+        for i, level in enumerate(levels):
+            levels[i], c = level ^ c, c & level
+            if not c:
+                break
+        else:
+            levels.append(c)
+    pool = units or mask
+    for level in reversed(levels):
+        if pool & level:
+            pool &= level
+    return pool if not pool & (pool - 1) else min(alg.bits(pool), key=alg.variable_of)
+
+
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
@@ -694,7 +701,7 @@ class _Compiler:
     def __init__(self, var_dists, sk, node_budget=None):
         self.var_dists = var_dists
         self.sk = sk
-        self.remaining = node_budget
+        self.budget = node_budget
         self.memo = {}
         # (variable, value) -> the substitutions made under that binding
         self.substitutions = {}
@@ -734,7 +741,7 @@ class _Compiler:
         ``parts`` hold the inputs to compile next; once their trees lie on
         top of ``done``, they replace the inputs in place.
         """
-        memo = self.memo
+        memo, budget = self.memo, self.budget
         boolean = self.sk is SemiringKind.BOOLEAN
         done = []
         stack = [item]
@@ -749,6 +756,9 @@ class _Compiler:
                 memo[key] = node
                 done.append(node)
                 continue
+            if t is VarLeaf:  # built by its parent (:meth:`_part`)
+                done.append(item)
+                continue
             if boolean and (t is Var or t is Mul or t is Add):
                 form = _clause_form(item)
                 if form is not None:
@@ -759,10 +769,8 @@ class _Compiler:
             key = ("k", item.value) if t is Const or t is MConst else item
             node = memo.get(key)
             if node is None:
-                if self.remaining is not None:
-                    self.remaining -= 1
-                    if self.remaining < 0:
-                        raise BudgetExceeded("node budget exhausted")
+                if budget is not None and len(memo) >= budget:  # the memo holds the finished nodes
+                    raise BudgetExceeded("node budget exhausted")
                 node = self._expand(item)
                 if node.parts:
                     stack.append([key, node])
@@ -770,6 +778,8 @@ class _Compiler:
                     continue
                 memo[key] = node
             done.append(node)
+        if budget is not None and len(memo) > budget:  # with leaves their parents made last
+            raise BudgetExceeded("node budget exhausted")
         return done[0]
 
     def _expand(self, item):
@@ -834,21 +844,33 @@ class _Compiler:
             dist = self.dist_of(name)
             return VarLeaf(name, dist, None if len(clauses) == 1 else dist.support)
         if len(clauses) == 1:
-            return ProdNode([_Clauses((bit,)) for bit in alg.bits(mask)])
+            return ProdNode([self._part(bit) for bit in alg.bits(mask)])
         if _disjoint(clauses):
-            return SumNode([_Clauses((c,)) for c in clauses])
+            return SumNode([self._part(c) for c in clauses])
         shared = functools.reduce(operator.and_, clauses)
         if shared:
-            return ProdNode([_Clauses((shared,)), _clause_sum([c & ~shared for c in clauses])])
+            return ProdNode([self._part(shared), _clause_sum([c & ~shared for c in clauses])])
         groups = connected_groups([(c, c) for c in clauses])
         if len(groups) > 1:
             return SumNode([_Clauses(g) for g in groups])
-        x = choose_branch_variable(clauses, sk=self.sk)
+        bit = _branch_bit(clauses, mask)
+        x = alg.variable_of(bit)
         entries = self.dist_of(x).entries
-        bit = Var(x).mask
         kept = _clause_sum([c for c in clauses if not c & bit])
         cleared = _clause_sum([c & ~bit for c in clauses])
         return MutexNode(x, entries, [cleared if v else kept for v, _ in entries])
+
+    def _part(self, c):
+        """The clause form of the one clause ``c``, or for one variable its
+        memo entry, a :class:`VarLeaf` made once per compile."""
+        key = _Clauses((c,))
+        if c & (c - 1):
+            return key
+        node = self.memo.get(key)
+        if node is None:
+            name = alg.variable_of(c)
+            node = self.memo[key] = VarLeaf(name, self.dist_of(name))
+        return node
 
     def _tabulated(self, item, mask):
         """The leaf of an expression, or a joint of them, over the one

@@ -66,7 +66,7 @@ class IllegalAggregate(PvcError):
 
 
 class RepeatedRelation(PvcError):
-    """A base relation occurs more than once where analysis forbids it."""
+    """A base relation repeats in a database, or where analysis forbids it."""
 
 
 class InvalidParams(PvcError):

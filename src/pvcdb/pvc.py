@@ -21,6 +21,7 @@ from .errors import (
     CarrierMismatch,
     IllegalAggregate,
     MissingDistribution,
+    RepeatedRelation,
     WorldLimitExceeded,
 )
 
@@ -113,7 +114,10 @@ class PvcDatabase:
     """Named tables over one probability space."""
 
     def __init__(self, tables, var_dists, sk):
-        self.tables = {t.name: t for t in tables}
+        self.tables = {}
+        for table in tables:
+            if self.tables.setdefault(table.name, table) is not table:
+                raise RepeatedRelation("relation %s is given twice" % table.name)
         self.var_dists = dict(var_dists)
         self.sk = sk
         self.validate()

@@ -17,6 +17,7 @@ from pvcdb.errors import (
     InvalidParams,
     MissingDistribution,
     ParseError,
+    RepeatedRelation,
     WeightSumOutOfTolerance,
 )
 from pvcdb.exprtext import format_expr, parse_expr
@@ -139,6 +140,24 @@ class TestTableIo:
         probs.write_text("u\t0\t0.5\nu\t0\t0.5\n")
         with pytest.raises(DuplicateVariable):
             cli.load_probabilities(probs)
+
+    def test_two_tables_of_one_name_are_rejected(self, tmp_path, capsys):
+        for side, source in (("a", "S.tsv"), ("b", "P1.tsv")):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "R.tsv").write_text((SHOPS / source).read_text())
+        paths = [str(tmp_path / "a" / "R.tsv"), str(tmp_path / "b" / "R.tsv")]
+        probs = str(SHOPS / "probs.tsv")
+        message = "relation R is in both %s and %s" % tuple(paths)
+        with pytest.raises(RepeatedRelation) as exc:
+            cli.load_database(paths, probs, "bool")
+        assert str(exc.value) == message
+        for command in ("query", "oracle"):
+            code, out = run_cli(command, "--tables", *paths, "--probs", probs, "--query", "R")
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == "error: %s\n" % message
+        tables = [cli.load_table(p) for p in paths]
+        with pytest.raises(RepeatedRelation, match="relation R is given twice"):
+            pvcdb.PvcDatabase(tables, cli.load_probabilities(probs), alg.SemiringKind.BOOLEAN)
 
     def test_zero_probability_lines_are_dropped(self, tmp_path):
         probs = tmp_path / "probs.tsv"
@@ -717,6 +736,33 @@ class TestParserReuse:
         assert "required" in capsys.readouterr().err
         code, out = run_cli(*self._argvs(tmp_path)[2])
         assert code == 0 and out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["prob", "--expr", "x", "--probs", "p.tsv"], "--node-budget"),
+            (["dtree", "dump", "--expr", "x", "--probs", "p.tsv"], "--node-budget"),
+            (["query", "--tables", "S.tsv", "--probs", "p.tsv", "--query", "S"], "--node-budget"),
+            (["oracle", "--expr", "x", "--probs", "p.tsv"], "--world-limit"),
+        ],
+    )
+    def test_negative_limits_are_usage_errors(self, capsys, argv, flag):
+        for value in ("-1", "-5000"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [flag, value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument %s: expected an int of 0 or more, not '%s'" % (flag, value) in err
+            assert "Traceback" not in err
+        args = cli.build_parser().parse_args(argv + [flag, "0"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 0
+
+    def test_zero_limits_still_run(self, tmp_path):
+        probs = tmp_path / "p.tsv"
+        probs.write_text("x\t0\t0.5\nx\t1\t0.5\n")
+        assert run_cli("prob", "--expr", "x", "--probs", str(probs), "--node-budget", "0")[0] == 1
+        assert run_cli("oracle", "--expr", "1", "--probs", str(probs), "--world-limit", "0")[0] == 1
+        assert run_cli("oracle", "--expr", "x", "--probs", str(probs), "--world-limit", "2")[0] == 0
 
     def test_build_parser_returns_a_working_parser(self):
         args = cli.build_parser().parse_args(["prob", "--expr", "x", "--probs", "p.tsv"])

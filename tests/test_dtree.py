@@ -1322,6 +1322,114 @@ class TestClauseForm:
             assert masks == sorted(masks)
 
 
+#: Names whose order differs from the order of their variables' bits, so
+#: that ties are broken by name, not by bit.
+BRANCH_NAMES = ["k%02d" % ((i * 37) % 90) for i in range(90)]
+
+
+@st.composite
+def clause_mask_lists(draw):
+    """Clauses as lists of names over up to 90 variables, with unit
+    clauses, repeated clauses and ties in the counts; a chain through
+    every name may join them."""
+    names = draw(st.permutations(BRANCH_NAMES))[: draw(st.integers(2, 90))]
+    clause = st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)
+    clauses = draw(st.lists(clause, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        clauses += [[a, b] for a, b in zip(names, names[1:])]
+    clauses += draw(st.lists(st.sampled_from(clauses), min_size=1, max_size=6))
+    return clauses
+
+
+def _clause(names):
+    return alg.make_product([Var(n) for n in names])
+
+
+def _pick_by_bits(clauses):
+    products = [_clause(c) for c in clauses]  # masks hold while these live
+    masks = sorted(p.mask for p in products)
+    bit = dtree._branch_bit(dtree._Clauses(masks), functools.reduce(operator.or_, masks))
+    return alg.variable_of(bit)
+
+
+class TestBranchBit:
+    """The case split of a clause form takes the variable that
+    :func:`choose_branch_variable` takes on its expression, from counts
+    kept bit-sliced over the clause masks."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(clause_mask_lists())
+    def test_pick_equals_choose_branch_variable(self, clauses):
+        expr = alg.make_sum([_clause(c) for c in clauses])
+        assert _pick_by_bits(clauses) == choose_branch_variable(expr, sk=B)
+
+    @pytest.mark.parametrize(
+        "clauses,want",
+        [
+            # The unit of most occurrences, not the variable.
+            ([["k01", "k02"], ["k01", "k03"], ["k02"], ["k03"], ["k03", "k04"]], "k03"),
+            # A repeated unit counts twice; a tie goes to the smaller name.
+            ([["k05"], ["k04"], ["k05"], ["k04", "k06"], ["k05", "k06"]], "k05"),
+            ([["k05"], ["k04"], ["k04", "k06"], ["k05", "k06"]], "k04"),
+            # Without units, the variable of most occurrences.
+            ([["k03", "k01"], ["k01", "k02"], ["k02", "k03"], ["k02", "k04"]], "k02"),
+            # 70 variables, one of them in every clause.
+            ([["k%02d" % i, "k89"] for i in range(70)], "k89"),
+            ([["k%02d" % i, "k%02d" % (i + 1)] for i in range(70)], "k01"),
+        ],
+    )
+    def test_picks(self, clauses, want):
+        assert _pick_by_bits(clauses) == want
+        assert choose_branch_variable(alg.make_sum([_clause(c) for c in clauses]), sk=B) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a*b + b*c + c*a",
+            "x*y*z + x*y*w + x*v + v*w",
+            " + ".join("s%d*s%d" % (i, i + 1) for i in range(30)),
+            " + ".join("t%d*u%d + t%d*w%d + u%d*w%d" % ((i,) * 6) for i in range(4)),
+        ],
+        ids=["triangle", "shared-factor", "chain", "triangles"],
+    )
+    def test_budget_counts_each_shared_leaf_once(self, text):
+        expr = parse_expr(text)
+        dists = {v: coin() for v in expr.vars()}
+        tree = dtree.compile(expr, dists, B)
+        n = node_count(tree)
+        parents = Counter(id(c) for d in dtree._post_order(tree) for c in d.parts
+                          if type(c) is VarLeaf)
+        assert max(parents.values()) > 1  # a leaf with several parents
+        assert node_count(dtree.compile(expr, dists, B, node_budget=n)) == n
+        with pytest.raises(BudgetExceeded):
+            dtree.compile(expr, dists, B, node_budget=n - 1)
+
+    def test_budget_counts_the_leaves_of_the_last_node(self):
+        # The root's leaves are made with it, after its own check.
+        expr = parse_expr("a*b*c")
+        dists = {v: coin() for v in expr.vars()}
+        assert node_count(dtree.compile(expr, dists, B, node_budget=4)) == 4
+        with pytest.raises(BudgetExceeded):
+            dtree.compile(expr, dists, B, node_budget=3)
+
+    @pytest.mark.parametrize(
+        "clauses,nodes,mutex",
+        [
+            ([("x%d" % i, "x%d" % (i + 1)) for i in range(400)], 1866, 961),
+            ([c for i in range(1500) for c in (("a%d" % i, "b%d" % i), ("a%d" % i, "c%d" % i))],
+             7501, 0),
+            ([c for i in range(600)
+              for c in (("p%d" % i, "q%d" % i), ("q%d" % i, "r%d" % i), ("p%d" % i, "r%d" % i))],
+             3002, 1200),
+        ],
+        ids=["chain", "pairs", "triangles"],
+    )
+    def test_shapes_keep_their_counts(self, clauses, nodes, mutex):
+        expr = alg.make_sum([_clause(c) for c in clauses])
+        tree = dtree.compile(expr, {v: coin() for v in expr.vars()}, B)
+        assert (node_count(tree), mutex_count(tree)) == (nodes, mutex)
+
+
 def _reference_minmax_prune(cond, sk):
     """:func:`prune` of a MIN or MAX conditional with a constant bound
     by the general path alone: class representatives, one scaled term
