@@ -54,6 +54,7 @@ from .errors import (
     ParseError,
     PvcError,
     RepeatedRelation,
+    SchemaMismatch,
 )
 from .exprtext import format_expr, parse_expr
 from .prob import Distribution, format_distribution
@@ -238,53 +239,61 @@ _INT_RE = re.compile(r"-?\d+$")
 _MTAG_RE = re.compile(r"(min|max|sum|count|prod)\{")
 
 
-def _parse_cell(text, where):
+def _parse_cell(text, path, n, expressions, i):
+    """The value of cell ``i`` on line ``n``: an integer, a semimodule
+    expression, counted in ``expressions[i]``, or a string."""
     if _INT_RE.match(text):
         try:
             return int(text)
         except ValueError:  # more digits than Python converts to an int
             digits = len(text.lstrip("-"))
-            raise ParseError("%s: numeral of %d digits is too long" % (where, digits)) from None
+            raise ParseError(
+                "%s line %d: numeral of %d digits is too long" % (path, n, digits)
+            ) from None
     if _MTAG_RE.match(text):
         expr = parse_expr(text)
         if not isinstance(expr, alg.MExpr):
-            raise ParseError("%s: expected a semimodule expression" % where)
+            raise ParseError("%s line %d: expected a semimodule expression" % (path, n))
+        expressions[i] += 1
         return expr
     return text
 
 
 def load_table(path):
+    """Read a TSV table in one pass over its lines.  A column is an
+    aggregation column when it holds a semimodule expression, and then
+    every cell of it must be one; the rows go into the table as read,
+    since the pass has checked what :meth:`pvcdb.pvc.PvcTable.add_row`
+    checks."""
     path = pathlib.Path(path)
-    lines = [ln.rstrip("\n") for ln in path.read_text().splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
         raise ParseError("%s: missing header row" % path)
     header = lines[0].split("\t")
     if header[-1] != "phi":
         raise ParseError("%s: last column must be phi" % path)
     columns = tuple(header[:-1])
-    raw_rows = []
+    for i, column in enumerate(columns):
+        if column in columns[:i]:
+            raise SchemaMismatch("%s: column %s is repeated" % (path, column))
+    width = len(header)
+    expressions = [0] * len(columns)
+    rows = []
     for n, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        if len(cells) != len(header):
-            raise ParseError("%s line %d: expected %d cells" % (path, n, len(header)))
-        where = "%s line %d" % (path, n)
-        values = tuple(_parse_cell(c, where) for c in cells[:-1])
+        if len(cells) != width:
+            raise ParseError("%s line %d: expected %d cells" % (path, n, width))
+        values = tuple([_parse_cell(c, path, n, expressions, i) for i, c in enumerate(cells[:-1])])
         phi = parse_expr(cells[-1])
         if not isinstance(phi, alg.Expr):
-            raise ParseError("%s: phi must be a semiring expression" % where)
-        raw_rows.append((values, phi))
-    roles = []
-    for i in range(len(columns)):
-        role = pvc.CONST
-        for values, _ in raw_rows:
-            if isinstance(values[i], alg.MExpr):
-                role = pvc.AGG
-                break
-        roles.append(role)
-    table = pvc.PvcTable(path.stem, columns, tuple(roles))
-    for values, phi in raw_rows:
-        table.add_row(values, phi)
+            raise ParseError("%s line %d: phi must be a semiring expression" % (path, n))
+        rows.append((values, phi))
+    roles = tuple(pvc.AGG if k else pvc.CONST for k in expressions)
+    table = pvc.PvcTable(path.stem, columns, roles)
+    if any(0 < k < len(rows) for k in expressions):
+        for values, phi in rows:  # raises on the first cell add_row rejects
+            table.add_row(values, phi)
+    table.rows = rows
     return table
 
 
@@ -298,7 +307,6 @@ def load_probabilities(path, sk=None):
     """
     path = pathlib.Path(path)
     dists = {}
-    pairs = {}
     for n, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -312,18 +320,24 @@ def load_probabilities(path, sk=None):
         if not (0.0 <= prob < math.inf):
             raise ParseError("%s line %d: probability %r is not a finite non-negative number"
                              % (path, n, cells[2]))
-        if (var, value) in pairs:
+        probs = dists.get(var)
+        if probs is None:
+            dists[var] = {value: prob}
+        elif value in probs:
             raise DuplicateVariable(
                 "%s declared twice for value %d (%s line %d)" % (var, value, path, n)
             )
-        pairs[(var, value)] = prob
-        entries = dists.setdefault(var, [])
-        if prob > 0:
-            entries.append((value, prob))
-    dists = {
-        var: Distribution(entries).check_normalized(what="distribution of %s in %s" % (var, path))
-        for var, entries in dists.items()
-    }
+        else:
+            probs[value] = prob
+    for var, probs in dists.items():
+        # Unique values, probabilities checked finite and non-negative.
+        entries = sorted(probs.items())
+        if 0.0 in probs.values():
+            entries = [item for item in entries if item[1] > 0]
+        dist = Distribution._sorted(entries)
+        if not dist.is_normalized():
+            dist.check_normalized(what="distribution of %s in %s" % (var, path))
+        dists[var] = dist
     return dists if sk is None else pvc.check_values(dists, sk)
 
 

@@ -53,9 +53,9 @@ which keeps the partial sums narrowest, and accumulates them in one
 dense list (:func:`pvcdb.prob.sum_fold`) when their supports are
 integral and the list is no wider than the pairwise work warrants;
 otherwise it adds pairwise, unchecked when the largest values cannot
-overflow 64 bits.  MIN and MAX merge sorted supports
-(:func:`pvcdb.prob.extreme_convolve`); PROD and the NATURAL product
-convolve pairwise.
+overflow 64 bits.  MIN and MAX fold in one sweep over the sorted values
+of all children (:func:`pvcdb.prob.extreme_fold`); PROD and the NATURAL
+product convolve pairwise.
 
 One compiler (:class:`_Compiler`) builds every tree, and
 :func:`compile` is its one entry point.  It takes an expression or a
@@ -161,7 +161,7 @@ from .prob import (
     boolean_fold,
     compare_convolve,
     convolve,
-    extreme_convolve,
+    extreme_fold,
     format_value,
     mix,
     sum_fold,
@@ -1070,8 +1070,6 @@ def _add_pair(p, q):
 #: (``None``) of the NATURAL semiring's sum.
 _PAIR_KERNELS = {
     None: _add_pair,
-    MonoidKind.MIN: lambda p, q: extreme_convolve(p, q, False),
-    MonoidKind.MAX: lambda p, q: extreme_convolve(p, q, True),
     MonoidKind.SUM: _add_pair,
     MonoidKind.COUNT: _add_pair,
     MonoidKind.PROD: lambda p, q: convolve(p, q, MonoidKind.PROD.plus),
@@ -1092,12 +1090,16 @@ def _fold(d, sk, memo):
     sum is as wide as the spans so far added up, so this order keeps the
     intermediate supports narrowest.  In that order the sum runs in one
     dense list (:func:`pvcdb.prob.sum_fold`) when it pays, else pairwise.
-    Every other node convolves its children pairwise from the last to the
-    first, in the order of a right-nested binary chain.
+    MIN and MAX fold in one sweep over the sorted values of all children
+    (:func:`pvcdb.prob.extreme_fold`).  Every other node convolves its
+    children pairwise from the last to the first, in the order of a
+    right-nested binary chain.
     """
     parts = [memo[id(c)] for c in d.parts]
     if sk is SemiringKind.BOOLEAN and (isinstance(d, ProdNode) or d.kind is None):
         return boolean_fold(parts, isinstance(d, SumNode))
+    if isinstance(d, SumNode) and d.kind in (MonoidKind.MIN, MonoidKind.MAX):
+        return extreme_fold(parts, d.kind is MonoidKind.MAX)
     pair = (
         _PAIR_KERNELS[d.kind] if isinstance(d, SumNode) else lambda p, q: convolve(p, q, sk.mul)
     )

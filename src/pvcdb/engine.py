@@ -190,7 +190,9 @@ def infer_schema(plan, db):
     if isinstance(plan, Project):
         columns, roles = infer_schema(plan.child, db)
         role_of = dict(zip(columns, roles))
-        for a in plan.attrs:
+        for i, a in enumerate(plan.attrs):
+            if a in plan.attrs[:i]:
+                raise SchemaMismatch("projection repeats attribute %s" % a)
             if a not in role_of:
                 raise SchemaMismatch("projection on unknown attribute %s" % a)
             if role_of[a] == AGG:

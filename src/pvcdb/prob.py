@@ -18,8 +18,9 @@ distributions of independent or mutually exclusive children:
 * :func:`boolean_fold` gives ``x_1 or ... or x_n`` or
   ``x_1 and ... and x_n`` in one loop that carries the mass at 0 and
   at 1;
-* :func:`extreme_convolve` gives ``min(x, y)`` or ``max(x, y)`` in one
-  merge of the two sorted supports;
+* :func:`extreme_fold` gives ``min(x_1, ..., x_n)`` or
+  ``max(x_1, ..., x_n)``: MIN and MAX fold in one sweep over the sorted
+  values of all the ``x_i``;
 * :func:`compare_convolve` gives the distribution of ``[x theta y]``
   over the semiring's 0 and 1, in one sorted sweep for the order
   comparisons and one lookup per value for ``=`` and ``!=``;
@@ -38,7 +39,7 @@ sorted, unique and positive by construction.
 
 from __future__ import annotations
 
-import operator
+import math
 
 from .algebra import INF, NEG_INF, U64_MAX
 from .errors import (
@@ -52,6 +53,12 @@ MASS_TOL = 1e-9
 
 #: Entries with probability at most this are pruned after combinations.
 PRUNE_EPS = 1e-15
+
+#: The range in which :func:`extreme_fold` lets its running product's
+#: mantissa drift before it moves the mantissa's exponent into its own
+#: integer: wide enough to renormalise rarely, narrow enough that a
+#: factor down to about 1e-200 cannot push it out of the normal floats.
+_MANT_LOW, _MANT_HIGH = 2.0**-300, 2.0**300
 
 #: How many multiply-adds of the dense list :func:`sum_fold` may spend
 #: per pair the pairwise fold would take.  Timed under CPython 3.11 on
@@ -126,7 +133,10 @@ class Distribution:
         return tuple(v for v, _ in self.entries)
 
     def total_mass(self):
-        return sum(p for _, p in self.entries)
+        return sum([p for _, p in self.entries])
+
+    def is_normalized(self, tol=MASS_TOL):
+        return abs(self.total_mass() - 1.0) <= tol
 
     def check_normalized(self, tol=MASS_TOL, what="distribution"):
         mass = self.total_mass()
@@ -247,8 +257,8 @@ def boolean_fold(dists, disjunction):
 
     One loop carries the mass at 0 and the mass at 1 of the fold so far:
     the disjunction is 0 only when both sides are, and the conjunction
-    is 1 only when both sides are, so this is the merge of
-    :func:`extreme_convolve` on {0, 1}, with no ``total - part``
+    is 1 only when both sides are, so this is :func:`extreme_fold` on
+    {0, 1} (MAX for the disjunction), with no ``total - part``
     difference to leave a rounding residue.  Sub-normalised inputs give
     a result of mass the product of theirs.
     """
@@ -272,47 +282,57 @@ def boolean_fold(dists, disjunction):
     return Distribution._sorted(entries)
 
 
-def extreme_convolve(p, q, largest):
-    """Distribution of ``max(x, y)`` when ``largest``, else ``min(x, y)``,
-    for independent x ~ p and y ~ q, in one merge of the sorted supports.
+def extreme_fold(dists, largest):
+    """Distribution of ``max(x_1, ..., x_n)`` when ``largest``, else
+    ``min(x_1, ..., x_n)``, for independent x_i ~ dists, in one sort of
+    all the children's entries and one sweep over them.
 
-    The merge runs from the neutral end (the least value for MAX): the
-    maximum is v when x = v and y <= v, or y = v and x < v, so with the
-    mass of x and of y swept past so far, each outcome's mass is a sum of
-    products.  This is P(max <= v) = P(x <= v) P(y <= v) without the
-    cancellation of differencing it.  Sub-normalised inputs give a
-    result of mass ``mass(p) * mass(q)``, as with :func:`convolve`.
+    The sweep runs from the neutral end (the least value for MAX) and
+    keeps each child's mass swept past so far, F_i, and the product of
+    those that are non-zero, with a count of the children still at 0.
+    Raising F_i from f to f + p at value v raises the product of all the
+    F by p times the product of the others, so the mass of v is the sum
+    of those terms over the children that take v, taken in turn: the
+    children before i are at most v, those after i below v, as is every
+    child that does not take v.  Only products and sums of
+    non-negative terms appear, no ``total - part`` difference.  The
+    product is kept as a mantissa and a power of two, so that it does
+    not underflow over thousands of children whose values come later.
+    Entries at most ``PRUNE_EPS`` are dropped once, at the end.
+    Sub-normalised inputs give a result of mass the product of theirs.
     """
-    if largest:
-        xs, ys, ahead = p.entries, q.entries, operator.lt
-    else:
-        xs, ys, ahead = p.entries[::-1], q.entries[::-1], operator.gt
+    items = [(v, i, p) for i, d in enumerate(dists) for v, p in d.entries]
+    items.sort(reverse=not largest)
+    past = [0.0] * len(dists)
+    zeros = len(dists)
+    mant, exp, scale = 1.0, 0, 1.0
     out = []
-    past_x = past_y = 0.0
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        u, pu = xs[i]
-        w, pw = ys[j]
-        if ahead(u, w):
-            out.append((u, pu * past_y))
-            past_x += pu
-            i += 1
-        elif ahead(w, u):
-            out.append((w, pw * past_x))
-            past_y += pw
-            j += 1
+    value, mass = items[0][0] if items else None, 0.0
+    for v, i, p in items:
+        if v != value:
+            if mass > PRUNE_EPS:
+                out.append((value, mass))
+            value, mass = v, 0.0
+        f = past[i]
+        if f:
+            others = mant / f
         else:
-            out.append((u, pu * (past_y + pw) + pw * past_x))
-            past_x += pu
-            past_y += pw
-            i += 1
-            j += 1
-    out.extend((u, pu * past_y) for u, pu in xs[i:])
-    out.extend((w, pw * past_x) for w, pw in ys[j:])
+            others = mant
+            zeros -= 1
+        if not zeros:
+            mass += p * others * scale
+        f += p
+        past[i] = f
+        mant = others * f
+        if not _MANT_LOW < mant < _MANT_HIGH:
+            mant, shift = math.frexp(mant)
+            exp += shift
+            scale = math.ldexp(1.0, exp)
+    if mass > PRUNE_EPS:
+        out.append((value, mass))
     if not largest:
         out.reverse()
-    return Distribution._sorted(item for item in out if item[1] > PRUNE_EPS)
+    return Distribution._sorted(out)
 
 
 def _mass_at_or_above(upper, lower, strict):

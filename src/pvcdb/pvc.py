@@ -22,6 +22,7 @@ from .errors import (
     IllegalAggregate,
     MissingDistribution,
     RepeatedRelation,
+    SchemaMismatch,
     WorldLimitExceeded,
 )
 
@@ -81,6 +82,9 @@ class PvcTable:
         self.roles = tuple(self.roles)
         if len(self.columns) != len(self.roles):
             raise ValueError("need one role per column")
+        if len(set(self.columns)) != len(self.columns):
+            repeated = next(c for i, c in enumerate(self.columns) if c in self.columns[:i])
+            raise SchemaMismatch("%s: column %s is repeated" % (self.name, repeated))
 
     def add_row(self, values, phi):
         values = tuple(values)
@@ -124,7 +128,8 @@ class PvcDatabase:
 
     def validate(self):
         for name, dist in self.var_dists.items():
-            dist.check_normalized(what="distribution of %s" % name)
+            if not dist.is_normalized():
+                dist.check_normalized(what="distribution of %s" % name)
         check_values(self.var_dists, self.sk)
         for table in self.tables.values():
             exprs = list(table.expressions())

@@ -10,7 +10,7 @@ import pvcdb
 from pvcdb import algebra as alg
 from pvcdb import cli, dtree
 from pvcdb.algebra import MonoidKind
-from pvcdb.engine import Aggregate, Project, Select, answer_distributions
+from pvcdb.engine import Aggregate, Project, Select, answer_distributions, validate_query
 from pvcdb.errors import (
     CarrierMismatch,
     DuplicateVariable,
@@ -18,6 +18,7 @@ from pvcdb.errors import (
     MissingDistribution,
     ParseError,
     RepeatedRelation,
+    SchemaMismatch,
     WeightSumOutOfTolerance,
 )
 from pvcdb.exprtext import format_expr, parse_expr
@@ -207,6 +208,42 @@ class TestTableIo:
         with pytest.raises(ParseError) as got:
             cli.load_table(path)
         assert str(got.value) == str(want.value)
+
+    def test_repeated_column_names_the_file_and_the_column(self, tmp_path, capsys):
+        # Read as it was, the second ``a`` hid the first from every
+        # query: project[a] gave 2 and select[a=1] nothing.
+        table = tmp_path / "D.tsv"
+        table.write_text("a\ta\tphi\n1\t2\tx\n")
+        probs = tmp_path / "probs.tsv"
+        probs.write_text("x\t0\t0.5\nx\t1\t0.5\n")
+        message = "%s: column a is repeated" % table
+        with pytest.raises(SchemaMismatch) as exc:
+            cli.load_table(table)
+        assert str(exc.value) == message
+        for command in ("query", "oracle"):
+            for query in ("project[a](D)", "select[a=1](D)"):
+                code, out = run_cli(command, "--tables", str(table), "--probs", str(probs),
+                                    "--query", query)
+                assert (code, out) == (1, "")
+                assert capsys.readouterr().err == "error: %s\n" % message
+
+    def test_projection_that_repeats_an_attribute_is_rejected(self, shops_db, capsys):
+        plan = cli.parse_query("project[shop, shop](S)")
+        assert validate_query(plan, shops_db) == [
+            "Project: projection repeats attribute shop"
+        ]
+        tables = [str(SHOPS / n) for n in ("S.tsv", "PS.tsv", "P1.tsv", "P2.tsv")]
+        for command in ("query", "oracle"):
+            code, _ = run_cli(command, "--tables", *tables, "--probs", str(SHOPS / "probs.tsv"),
+                              "--query", "project[shop, shop](S)")
+            assert code == 1
+            assert "projection repeats attribute shop" in capsys.readouterr().err
+
+    def test_aggregation_column_holding_a_constant_is_rejected(self, tmp_path):
+        path = tmp_path / "agg.tsv"
+        path.write_text("a\ttotal\tphi\n1\tmin{u(x)5}\tu\n2\t7\tu\n")
+        with pytest.raises(CarrierMismatch, match="^agg: aggregation column holds 7$"):
+            cli.load_table(path)
 
     def test_header_only_table(self, tmp_path):
         path = tmp_path / "empty.tsv"

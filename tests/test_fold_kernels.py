@@ -11,11 +11,18 @@ from hypothesis import strategies as st
 
 from pvcdb import algebra as alg
 from pvcdb import dtree, prob
-from pvcdb.algebra import U64_MAX, MonoidKind, SemiringKind, Var
+from pvcdb.algebra import INF, NEG_INF, U64_MAX, Cmp, Const, MonoidKind, SemiringKind, Var
 from pvcdb.dtree import ProdNode, SumNode, VarLeaf, distribution
 from pvcdb.errors import ArithmeticOverflow
 from pvcdb.oracle import brute_distribution
-from pvcdb.prob import PRUNE_EPS, Distribution, boolean_fold, convolve, sum_fold
+from pvcdb.prob import (
+    PRUNE_EPS,
+    Distribution,
+    boolean_fold,
+    convolve,
+    extreme_fold,
+    sum_fold,
+)
 
 B = SemiringKind.BOOLEAN
 N = SemiringKind.NATURAL
@@ -202,3 +209,99 @@ class TestNaturalSum:
         _assert_close(got, brute_distribution(expr, var_dists, N), 1e-9)
         leaves = [Distribution.point(constant)] if constant else []
         _assert_close(got, _pairwise(ds + leaves, N.add), 1e-12)
+
+
+# Few distinct values, so that children share them, and both infinities.
+extreme_values = st.one_of(st.integers(0, 8), st.sampled_from([INF, NEG_INF]))
+
+extreme_children = st.lists(
+    st.one_of(
+        dists(extreme_values, 1),
+        dists(extreme_values, 4, sub_normalised=True),
+        # Masses down to 1e-9, so that products fall below PRUNE_EPS.
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.floats(1e-9, 1e-3)).map(
+            lambda t: Distribution.from_pairs([(t[0], 1 - t[2]), (t[1], t[2])])
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestExtremeFold:
+    """MIN and MAX fold in one sweep (``prob.extreme_fold``)."""
+
+    @SETTINGS
+    @given(extreme_children, st.booleans())
+    def test_matches_pairwise_convolution(self, ds, largest):
+        got = extreme_fold(ds, largest)
+        _assert_emitted_well(got)
+        _assert_close(got, _pairwise(ds, max if largest else min), 1e-12)
+        # Sub-normalised children keep the product of their masses.
+        assert got.total_mass() == pytest.approx(_mass(ds), abs=1e-12)
+
+    @SETTINGS
+    @given(dists(extreme_values, 6, sub_normalised=True), st.booleans())
+    def test_one_child_gives_back_its_entries(self, d, largest):
+        assert extreme_fold([d], largest).entries == d.entries
+
+    @SETTINGS
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.integers(0, 5), st.sampled_from([INF, NEG_INF])),
+                     min_size=1, max_size=3),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.floats(0.05, 1.0), min_size=18, max_size=18),
+        st.sampled_from([MonoidKind.MIN, MonoidKind.MAX]),
+    )
+    def test_sum_nodes_match_the_oracle(self, tables, weights, kind):
+        # Variable x_i takes the values 0..k-1, and at value k the i-th
+        # child of the sum is tables[i][k]: one multi-valued leaf each.
+        var_dists, groups = {}, []
+        it = iter(weights)
+        for i, table in enumerate(tables):
+            name = "x%d" % i
+            w = [next(it) for _ in table]
+            var_dists[name] = Distribution((k, q / sum(w)) for k, q in enumerate(w))
+            groups.append(
+                alg.make_msum(kind, [
+                    alg.make_scaled(kind, Cmp(Var(name), "=", Const(k)), v)
+                    for k, v in enumerate(table)
+                ])
+            )
+        expr = alg.make_msum(kind, groups)
+        tree = dtree.compile(expr, var_dists, N)
+        got = distribution(tree, N)
+        _assert_emitted_well(got)
+        _assert_close(got, brute_distribution(expr, var_dists, N), 1e-9)
+        if isinstance(tree, SumNode):
+            assert tree.kind is kind
+            children = [distribution(c, N) for c in tree.parts]
+            assert got.entries == extreme_fold(children, kind is MonoidKind.MAX).entries
+            _assert_close(got, _pairwise(children, max if kind is MonoidKind.MAX else min), 1e-12)
+
+    @pytest.mark.parametrize("largest", [True, False])
+    def test_thousands_of_children_do_not_underflow(self, largest):
+        # Every child is at its neutral end with mass 1/2 and takes one
+        # value of its own otherwise: the product of the children's
+        # swept mass falls to 2**-3000 before the sweep meets the values
+        # that carry the result.
+        n = 3000
+        neutral = NEG_INF if largest else INF
+        ds = [Distribution([(neutral, 0.5), (v, 0.5)]) for v in range(n)]
+        got = extreme_fold(ds, largest)
+        _assert_emitted_well(got)
+        # The k-th value from the far end has mass 0.5 ** (k + 1), exact
+        # in binary; 0.5 ** 49 is the least above PRUNE_EPS.
+        far = [(n - 1 - k if largest else k, 0.5 ** (k + 1)) for k in range(49)]
+        assert got.entries == tuple(sorted(far))
+
+    def test_no_child_takes_a_value_below_the_others_least(self):
+        # A child whose mass lies wholly above every other child's
+        # values decides a MAX alone: the others' masses only scale it.
+        low = Distribution([(1, 0.25), (2, 0.25)])
+        high = Distribution([(5, 0.75), (6, 0.25)])
+        got = extreme_fold([low, high, low], True)
+        assert got.entries == ((5, 0.75 * 0.25), (6, 0.25 * 0.25))

@@ -11,7 +11,7 @@ from pvcdb.prob import (
     Distribution,
     compare_convolve,
     convolve,
-    extreme_convolve,
+    extreme_fold,
     format_distribution,
     mix,
     parse_distribution,
@@ -228,7 +228,7 @@ class TestExtremeConvolve:
             p = _scaled_term(rng, sk, kind, range(20))
             for _ in range(rng.randint(1, 6)):
                 q = _scaled_term(rng, sk, kind, range(20))
-                _assert_same(extreme_convolve(p, q, kind is MonoidKind.MAX), convolve(p, q, op))
+                _assert_same(extreme_fold([p, q], kind is MonoidKind.MAX), convolve(p, q, op))
                 p = convolve(p, q, op)
 
     def test_multi_valued_infinite_and_sub_normalised(self):
@@ -246,14 +246,14 @@ class TestExtremeConvolve:
                     )
                 sides.append(_sub_normalised(rng, d) if rng.random() < 0.3 else d)
             p, q = sides
-            _assert_same(extreme_convolve(p, q, False), convolve(p, q, min))
-            _assert_same(extreme_convolve(p, q, True), convolve(p, q, max))
+            _assert_same(extreme_fold([p, q], False), convolve(p, q, min))
+            _assert_same(extreme_fold([p, q], True), convolve(p, q, max))
 
     def test_disjoint_supports(self):
         low = Distribution([(1, 0.5), (2, 0.5)])
         high = Distribution([(5, 0.25), (6, 0.75)])
-        assert extreme_convolve(low, high, False).entries == low.entries
-        assert extreme_convolve(low, high, True).entries == high.entries
+        assert extreme_fold([low, high], False).entries == low.entries
+        assert extreme_fold([low, high], True).entries == high.entries
 
 
 def _compare_reference(p, q, theta):

@@ -5,6 +5,7 @@ from pvcdb.algebra import SemiringKind, Var
 from pvcdb.errors import (
     IllegalAggregate,
     MissingDistribution,
+    SchemaMismatch,
     WorldLimitExceeded,
 )
 from pvcdb.exprtext import parse_expr
@@ -44,6 +45,12 @@ def suppliers(sk=B):
 
 
 class TestValidation:
+    @pytest.mark.parametrize("columns", [("a", "a"), ("a", "b", "a"), ("b", "a", "b", "a")])
+    def test_repeated_column_rejected(self, columns):
+        repeated = "a" if columns[0] == "a" else "b"
+        with pytest.raises(SchemaMismatch, match="^D: column %s is repeated$" % repeated):
+            PvcTable("D", columns, (CONST,) * len(columns))
+
     def test_missing_distribution(self):
         t = PvcTable("R", ("a",), (CONST,))
         t.add_row((1,), Var("u"))
