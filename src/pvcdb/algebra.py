@@ -176,7 +176,8 @@ def scale(s, m, kind):
     if m == INF or m == NEG_INF:
         raise CarrierMismatch("infinite value under %s" % kind.name)
     if kind is MonoidKind.PROD:
-        r = m**s
+        # From s = 64 on every m >= 2 overflows, so m ** s is not built.
+        r = m**s if s < 64 or m < 2 else U64_MAX + 1
         if r > U64_MAX:
             raise ArithmeticOverflow("scaling overflows 64 bits: %r ** %r" % (m, s))
         return r

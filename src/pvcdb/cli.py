@@ -259,6 +259,16 @@ def _parse_cell(text, path, n, expressions, i):
     return text
 
 
+def _read_text(path):
+    """The text of an input file, which must be UTF-8: a file that is not
+    is a :class:`ParseError` naming it.  A file that cannot be read raises
+    its ``OSError``, which :func:`main` reports with its path."""
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: not UTF-8 text (byte %d: %s)" % (path, exc.start, exc.reason)) from None
+
+
 def load_table(path):
     """Read a TSV table in one pass over its lines.  A column is an
     aggregation column when it holds a semimodule expression, and then
@@ -266,7 +276,7 @@ def load_table(path):
     since the pass has checked what :meth:`pvcdb.pvc.PvcTable.add_row`
     checks."""
     path = pathlib.Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError("%s: missing header row" % path)
     header = lines[0].split("\t")
@@ -307,7 +317,7 @@ def load_probabilities(path, sk=None):
     """
     path = pathlib.Path(path)
     dists = {}
-    for n, line in enumerate(path.read_text().splitlines(), start=1):
+    for n, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split("\t")
@@ -561,13 +571,13 @@ def format_bench_rows(rows):
 def _read_expr(args):
     if args.expr is not None:
         return parse_expr(args.expr)
-    return parse_expr(pathlib.Path(args.expr_file).read_text().strip())
+    return parse_expr(_read_text(args.expr_file).strip())
 
 
 def _read_query(args):
     if args.query is not None:
         return parse_query(args.query)
-    return parse_query(pathlib.Path(args.query_file).read_text().strip())
+    return parse_query(_read_text(args.query_file).strip())
 
 
 def _semiring(args):
@@ -823,6 +833,10 @@ def main(argv=None, out=None):
         return args.func(args, out)
     except PvcError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except OSError as exc:  # an input file that is missing, a directory, unreadable
+        print("error: %s" % ("%s: %s" % (exc.filename, exc.strerror) if exc.filename else exc),
+              file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,11 @@ split, an independent scaling split, an independent comparison split, a
 joint-sum split, and finally a mutex expansion.  An expression, or a
 joint of them, over one variable is one leaf that holds its value at
 each value of the variable (:class:`VarLeaf`), so it costs no split and
-no convolution: its distribution pools the variable's.  Case splits
+no convolution: its distribution pools the variable's.  The leaf of a
+variable, of a term ``x (x) v`` or of a joint of them is read off the
+support without a walk of the expression, and a table that rises or
+falls strictly with the support pools nothing, so its distribution is
+the table beside the variable's probabilities.  Case splits
 take the variable with most
 occurrences, except in a MIN or MAX sum, or a Boolean semiring sum, with
 a clause of one variable, where that variable goes first (the unit rule,
@@ -147,6 +151,7 @@ from .algebra import (
     SemiringKind,
     U64_MAX,
     Var,
+    scale,
 )
 from .errors import (
     BudgetExceeded,
@@ -189,7 +194,10 @@ class DNode:
 
 class VarLeaf(DNode):
     """A variable, or an expression of one variable: ``table[i]`` is its
-    value at the variable's i-th value, None for the variable itself."""
+    value at the variable's i-th value, None for the variable itself.
+    Its distribution is the variable's probabilities at the table's
+    values, pooled only where the table is not strictly monotone
+    (:func:`_leaf_distribution`)."""
 
     __slots__ = ("name", "dist", "table")
 
@@ -481,6 +489,12 @@ def _disjoint(masks):
             return False
         seen |= mask
     return True
+
+
+def _is_column(e):
+    """True for a variable or a term ``x (x) v``, whose column in a
+    one-variable leaf :meth:`_Compiler._tabulated` builds without a walk."""
+    return type(e) is Var or type(e) is Scaled and type(e.weight) is Var
 
 
 def _common_factors(factor_lists, shared):
@@ -874,14 +888,30 @@ class _Compiler:
 
     def _tabulated(self, item, mask):
         """The leaf of an expression, or a joint of them, over the one
-        variable of ``mask``: its values at each value of the variable,
-        from one walk (:func:`pvcdb.algebra.eval_under`)."""
+        variable of ``mask``: its values at each value of the variable.
+
+        The variable's column is its support, and a term ``x (x) v``'s
+        is each support value scaled by v (:func:`pvcdb.algebra.scale`);
+        a joint of only these takes its columns right to left, so the
+        term that raises is the one :func:`pvcdb.algebra.eval_under`
+        would meet first.  Any other input is walked once by that."""
         name = alg.variable_of(mask)
         dist = self.dist_of(name)
-        if type(item) is Var:
+        t = type(item)
+        if t is Var:
             return VarLeaf(name, dist)
+        if t is Scaled and type(item.weight) is Var:
+            value, kind = item.value, item.kind
+            return VarLeaf(name, dist, tuple([scale(a, value, kind) for a, _ in dist.entries]))
+        if t is tuple and all(map(_is_column, item)):
+            support = [a for a, _ in dist.entries]
+            columns = [
+                support if type(e) is Var else [scale(a, e.value, e.kind) for a in support]
+                for e in reversed(item)
+            ]
+            return VarLeaf(name, dist, tuple(zip(*reversed(columns))))
         nus = [{name: v} for v, _ in dist.entries]
-        if type(item) is tuple:
+        if t is tuple:
             return VarLeaf(name, dist, tuple(zip(*alg.eval_under(item, nus, self.sk))))
         return VarLeaf(name, dist, tuple(alg.eval_under((item,), nus, self.sk)[0]))
 
@@ -1038,12 +1068,30 @@ def distribution(d, sk=SemiringKind.BOOLEAN):
     return memo[id(d)]
 
 
+def _leaf_distribution(table, entries):
+    """The distribution of a one-variable leaf's ``table`` under the
+    variable's ``entries``.  A strictly increasing table pools no two
+    values, so it zips with the probabilities as it stands, and a
+    strictly decreasing one (MIN's ``(+inf, v)``) reversed; the entries
+    at most ``PRUNE_EPS`` are dropped, as
+    :meth:`~pvcdb.prob.Distribution.from_pairs` drops them, and any
+    other table is pooled by that."""
+    rest = table[1:]
+    if all(map(operator.lt, table, rest)):
+        pairs = zip(table, entries)
+    elif all(map(operator.gt, table, rest)):
+        pairs = zip(reversed(table), reversed(entries))
+    else:
+        return Distribution.from_pairs(zip(table, [p for _, p in entries]))
+    return Distribution._sorted([(a, p) for a, (_, p) in pairs if p > PRUNE_EPS])
+
+
 def _distribution(d, sk, memo):
     """The distribution of one node, whose children's are in ``memo``."""
     if isinstance(d, VarLeaf):
         if d.table is None:
             return d.dist
-        return Distribution.from_pairs(zip(d.table, [p for _, p in d.dist.entries]))
+        return _leaf_distribution(d.table, d.dist.entries)
     if isinstance(d, MutexNode):
         return mix([p for _, p in d.cases], [memo[id(c)] for c in d.parts])
     if isinstance(d, (SumNode, ProdNode)):

@@ -501,6 +501,29 @@ class TestSubcommands:
         code, _ = run_cli("prob", "--expr", "x + y", "--probs", str(probs))
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--probs", "--tables", "--expr-file", "--query-file"])
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not utf-8"])
+    def test_unreadable_input_file_is_one_error_line(self, tmp_path, capsys, flag, problem):
+        probs = tmp_path / "p.tsv"
+        probs.write_text("x\t0\t0.5\nx\t1\t0.5\n")
+        bad = tmp_path / "bad.tsv"
+        if problem == "directory":
+            bad.mkdir()
+        elif problem == "not utf-8":
+            bad.write_bytes(b"x\t0\t\xff\n")
+        argv = {
+            "--probs": ["prob", "--expr", "x", "--probs", str(bad)],
+            "--tables": ["query", "--tables", str(bad), "--probs", str(probs), "--query", "bad"],
+            "--expr-file": ["prob", "--expr-file", str(bad), "--probs", str(probs)],
+            "--query-file": ["query", "--tables", str(SHOPS / "S.tsv"), "--probs",
+                             str(SHOPS / "probs.tsv"), "--query-file", str(bad)],
+        }[flag]
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: %s: " % bad)
+        assert err.count("\n") == 1
+
     def test_node_budget_flag(self, tmp_path):
         probs = tmp_path / "p.tsv"
         lines = []

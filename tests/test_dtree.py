@@ -4,6 +4,7 @@ import math
 import operator
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,11 +37,12 @@ from pvcdb.errors import (
     BudgetExceeded,
     CarrierMismatch,
     NoVariables,
+    PvcError,
     WrongMonoid,
 )
 from pvcdb.exprtext import parse_expr
 from pvcdb.oracle import brute_distribution
-from pvcdb.prob import Distribution
+from pvcdb.prob import PRUNE_EPS, Distribution
 
 from normal_form import equivalent, occurrences
 
@@ -1532,3 +1534,136 @@ class TestPruneSkipsConditionalFree:
         out = dtree.prune_all(expr, B)
         assert out is parse_expr("a*b*c + d*(e + f) + g*[x != 0]")
         assert visited and all(e.has_cmp for e in visited)
+
+
+LEAF_SUPPORTS = [(0, 1), (0, 1, 2), (0, 3, 2**40, 2**63)]
+LEAF_VALUES = [0, 1, 2, 7, 2**32, 2**63, INF, -INF]
+
+
+@st.composite
+def one_variable_inputs(draw):
+    """A semiring, a support of x valid in it, and the monoids and values
+    of the terms ``x (x) v`` of a shape: x, a term, or a joint of them."""
+    sk = draw(st.sampled_from([B, N]))
+    support = draw(st.sampled_from(LEAF_SUPPORTS if sk is N else LEAF_SUPPORTS[:1]))
+    shape = draw(st.sampled_from(
+        ["var", "term", "var,term", "var,var,term", "term,term", "var,term,term"]))
+    terms = [(draw(st.sampled_from(list(MonoidKind))), draw(st.sampled_from(LEAF_VALUES)))
+             for _ in range(shape.count("term"))]
+    return sk, support, shape, terms
+
+
+@st.composite
+def leaf_tables(draw):
+    """A table over a support and the support's distribution, built
+    directly, so that it may hold masses at most ``PRUNE_EPS``: scalar or
+    pair values with ties and infinities, as drawn, ascending or
+    descending."""
+    n = draw(st.integers(1, 5))
+    scalar = st.sampled_from([0, 1, 2, 5, INF, -INF])
+    value = scalar if draw(st.booleans()) else st.tuples(scalar, scalar)
+    table = draw(st.lists(value, min_size=n, max_size=n))
+    order = draw(st.sampled_from(["drawn", "ascending", "descending"]))
+    if order != "drawn":
+        table.sort(reverse=order == "descending")
+    masses = st.sampled_from([1e-16, PRUNE_EPS, 2e-15, 0.1, 0.25, 0.5])
+    entries = [(v, draw(masses)) for v in range(n)]
+    return tuple(table), Distribution(entries)
+
+
+def _one_variable_input(shape, terms):
+    """x, ``x (x) v`` or a joint of them, by ``shape``, with the terms'
+    (monoid, value) pairs in order."""
+    x = Var("x")
+    drawn = iter(terms)
+    parts = []
+    for part in shape.split(","):
+        if part == "var":
+            parts.append(x)
+        else:
+            kind, value = next(drawn)
+            parts.append(Scaled(kind, x, value))
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+class TestLeafColumns:
+    """The leaf of x, of a term ``x (x) v`` or of a joint of them takes
+    its columns from the support without a walk of its expressions, and
+    its distribution from its table without pooling: the tables, the
+    errors and the entries of the walk and of
+    :meth:`Distribution.from_pairs`."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(one_variable_inputs())
+    def test_columns_are_the_walks(self, case):
+        sk, support, shape, terms = case
+        try:
+            item = _one_variable_input(shape, terms)
+        except CarrierMismatch:  # an infinite value under SUM, COUNT or PROD
+            assert any(v in (INF, -INF) and k not in (MonoidKind.MIN, MonoidKind.MAX)
+                       for k, v in terms)
+            return
+        exprs = item if type(item) is tuple else (item,)
+        try:
+            want = alg.eval_under(exprs, [{"x": v} for v in support], sk)
+        except PvcError as exc:
+            want = exc
+        compiler = dtree._Compiler({"x": Distribution((v, 0.25) for v in support)}, sk)
+        with mock.patch.object(alg, "eval_under", side_effect=AssertionError("walked")):
+            if isinstance(want, PvcError):
+                with pytest.raises(type(want)) as got:
+                    compiler._tabulated(item, Var("x").mask)
+                assert str(got.value) == str(want)  # the term the walk meets first
+                return
+            leaf = compiler._tabulated(item, Var("x").mask)
+        if type(item) is Var:
+            assert leaf.table is None and list(leaf.dist.support) == want[0]
+        else:
+            assert leaf.table == (tuple(zip(*want)) if type(item) is tuple else tuple(want[0]))
+
+    @pytest.mark.parametrize(
+        "kind,value,support,error",
+        [
+            (MonoidKind.PROD, 2, (0, 1, 64), ArithmeticOverflow),
+            (MonoidKind.PROD, 3, (0, 2**40), ArithmeticOverflow),
+            (MonoidKind.SUM, 2**63, (0, 1, 2), ArithmeticOverflow),
+        ],
+    )
+    def test_overflowing_terms_raise_as_the_walk_does(self, kind, value, support, error):
+        term = Scaled(kind, Var("x"), value)
+        with pytest.raises(error):
+            alg.eval_under((term,), [{"x": v} for v in support], N)
+        dists = {"x": Distribution((v, 1 / len(support)) for v in support)}
+        with pytest.raises(error):
+            dtree.compile(alg.make_msum(kind, [term]), dists, N)
+
+    def test_infinity_under_sum_is_a_carrier_mismatch(self):
+        for kind in (MonoidKind.SUM, MonoidKind.COUNT, MonoidKind.PROD):
+            with pytest.raises(CarrierMismatch):
+                Scaled(kind, Var("x"), INF)
+            with pytest.raises(CarrierMismatch):
+                alg.scale(1, INF, kind)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(leaf_tables())
+    def test_entries_are_the_pooled_ones(self, case):
+        table, dist = case
+        got = dtree._leaf_distribution(table, dist.entries)
+        want = Distribution.from_pairs(zip(table, [p for _, p in dist.entries]))
+        assert repr(got.entries) == repr(want.entries)
+
+    @pytest.mark.parametrize(
+        "text,sk,support,entries",
+        [
+            # MIN's (inf, v, v): a tie, pooled.
+            ("min{x(x)4}", N, (0, 1, 2), [(4, 0.75), (INF, 0.25)]),
+            # MIN's (inf, v): decreasing, reversed.
+            ("min{x(x)4}", B, (0, 1), [(4, 0.5), (INF, 0.5)]),
+            ("max{x(x)4}", B, (0, 1), [(-INF, 0.5), (4, 0.5)]),
+            ("sum{x(x)3}", N, (0, 1, 2), [(0, 0.25), (3, 0.5), (6, 0.25)]),
+        ],
+    )
+    def test_leaf_distributions(self, text, sk, support, entries):
+        probs = [0.25, 0.5, 0.25] if len(support) == 3 else [0.5, 0.5]
+        dists = {"x": Distribution(zip(support, probs))}
+        assert distribution(dtree.compile(parse_expr(text), dists, sk), sk).entries == tuple(entries)
